@@ -108,7 +108,11 @@ class Workload:
     """One benchmark workload: a CLI call made once per round.
 
     A round runs ``reps`` replications per experiment config; simulate
-    has one config, manipulate one per share.  The CLI seed of round i
+    has one config, manipulate one per share.  ``round_s`` is the
+    wall time of one round of the code this benchmark was written
+    against, on the reference host in the README; a run of S seconds
+    makes ``rounds(S)`` rounds whatever the program's speed, so that
+    two commits are measured over the same work.  The CLI seed of round i
     in a run with seed S is derive_seed(base_seed, S, i).  A fixed-market
     workload draws its one market file from base_seed, so every run
     solves the same market and S varies only the mechanisms' seeds.
@@ -120,12 +124,16 @@ class Workload:
     reps: int
     n: int
     mechanisms: tuple[str, ...]
+    round_s: float
     shares: tuple[float, ...] = ()
     fixed_market: bool = False
 
     @property
     def reps_per_round(self) -> int:
         return self.reps * (len(self.shares) if self.command == "manipulate" else 1)
+
+    def rounds(self, seconds: float) -> int:
+        return max(2, round(seconds / self.round_s))
 
     def round_seed(self, seed: int, round_index: int) -> int:
         return derive_seed(self.base_seed, seed, round_index)
@@ -150,13 +158,14 @@ WORKLOADS = {
     w.name: w
     for w in (
         Workload("uniform-rm-n500", "simulate", 22040500, reps=4, n=500,
-                 mechanisms=("RM", "TTC", "DA")),
+                 mechanisms=("RM", "TTC", "DA"), round_s=1.6),
         Workload("stable-n1000", "simulate", 22041000, reps=2, n=1000,
-                 mechanisms=("DA", "TTC", "RSD")),
+                 mechanisms=("DA", "TTC", "RSD"), round_s=1.5),
         Workload("manipulate-n200", "manipulate", 22040200, reps=5, n=200,
-                 mechanisms=("RM",), shares=(0.0, 0.4, 0.8)),
+                 mechanisms=("RM",), round_s=1.8, shares=(0.0, 0.4, 0.8)),
         Workload("fixed-partial-n600", "simulate", 22040600, reps=3, n=600,
-                 mechanisms=("RM", "TTC", "DA", "RSD"), fixed_market=True),
+                 mechanisms=("RM", "TTC", "DA", "RSD"), round_s=1.7,
+                 fixed_market=True),
     )
 }
 

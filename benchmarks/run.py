@@ -5,18 +5,18 @@
 Run from the root of a checkout.  The program is imported from the
 checkout's ``src/``; nothing is installed.  The run:
 
-1. starts ``SETUP_PROBES`` processes that only import the package, to
-   time set-up;
-2. starts the measuring process (``worker.py``), which calls
-   ``schoolmatch.cli.main`` in whole rounds for S seconds and checks
-   every round's allocations and CSV;
-3. writes the result with its manifest to ``benchmarks/out/`` and
+1. starts the measuring process (``worker.py``), which calls
+   ``schoolmatch.cli.main`` in the workload's fixed number of rounds
+   (about S seconds of the code the benchmark was written against),
+   times a set-up probe after each round, and checks every round's
+   allocations and CSV;
+2. writes the result with its manifest to ``benchmarks/out/`` and
    prints it as the last line of stdout.
 
 Every child gets numpy's thread pools pinned to one thread.  With
-``--trace 0`` the metrics are the end-to-end ones (``reps_per_s``,
-``setup_s``, ``peak_rss_mb``); with ``--trace 1`` the per-layer ones,
-and the spans go to ``benchmarks/out/<workload>-seed<N>.spans.jsonl``.
+``--trace 0`` the metrics are the ``end_to_end`` ones of
+``BENCHMARK.json``; with ``--trace 1`` its ``per_layer`` ones, and the
+spans go to ``benchmarks/out/<workload>-seed<N>.spans.jsonl``.
 """
 
 from __future__ import annotations
@@ -37,16 +37,12 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 SRC = ROOT / "src"
 OUT = HERE / "out"
-SETUP_PROBES = 8
 # The whole run, probes and checks included, must end well within 180 s.
 DEADLINE_S = 170.0
 THREAD_VARS = (
     "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
     "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS", "BLIS_NUM_THREADS",
 )
-END_TO_END = {"reps_per_s": "rep/s", "setup_s": "s", "peak_rss_mb": "MB"}
-COUNTS = {"assignment.solves": "count", "assignment.matrix_cells": "count",
-          "trace.reps_per_s": "rep/s"}
 
 
 def child_env() -> dict[str, str]:
@@ -135,21 +131,22 @@ def main() -> int:
     if args.trace:
         worker_args += ["--spans-out", str(OUT / f"{stem}.spans.jsonl")]
 
+    # Metric names and units are the ones BENCHMARK.json declares.
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer" if args.trace
+                                                                   else "end_to_end"]
     env = child_env()
-    setup = []
-    for _ in range(SETUP_PROBES):
-        started, probe = run_child(["--probe"], env, deadline)
-        setup.append(probe["ready"] - started)
     started, result = run_child(worker_args, env, deadline)
-    setup.append(result["ready"] - started)
+    setup = [result["ready"] - started, *result["setup_samples_s"]]
 
     if args.trace:
-        metrics = {name: {"value": value, "unit": COUNTS.get(name, "ms")}
-                   for name, value in result["layers"].items()}
+        values = result["layers"]
     else:
         values = {"reps_per_s": result["reps_per_s"], "setup_s": statistics.median(setup),
                   "peak_rss_mb": result["peak_rss_mb"]}
-        metrics = {name: {"value": values[name], "unit": unit} for name, unit in END_TO_END.items()}
+    if set(values) != {m["name"] for m in declared}:
+        sys.exit(f"benchmark: measured {sorted(values)}, BENCHMARK.json declares "
+                 f"{sorted(m['name'] for m in declared)}")
+    metrics = {m["name"]: {"value": values[m["name"]], "unit": m["unit"]} for m in declared}
     line = {"correct": not result["problems"], "attempted": result["attempted"],
             "failed": result["failed"], "metrics": metrics}
     record = dict(line, workload=workload.name, seed=args.seed, seconds=args.seconds,

@@ -259,7 +259,8 @@ def layer_metrics(spans: list[list], reps: int) -> tuple[dict, dict, list[str]]:
     """Per-layer figures in ms (counts where named); each span name's
     self time per replication, calls per replication and share of
     ``simulate.rep_ms``; and any accounting problems: a span name no
-    metric covers, or a negative self time."""
+    metric covers, a span outside its parent's interval, or a negative
+    self time."""
     # Only spans inside a round count; a collection between two rounds
     # belongs to the benchmark, not to a replication.
     inside: list[bool] = []
@@ -301,11 +302,21 @@ def layer_metrics(spans: list[list], reps: int) -> tuple[dict, dict, list[str]]:
     unknown = sorted(set(total) - known)
     if unknown:
         problems.append(f"spans no metric covers: {unknown}")
-    # The layers' self times partition the root spans, so they must add
-    # back up to simulate.rep_ms; a mis-nested span breaks the sum.
-    accounted = sum(total.values())
-    if abs(accounted - rep_total) > 1e-6 * max(rep_total, 1.0):
-        problems.append(f"self times sum to {accounted:.6f}s, root spans to {rep_total:.6f}s")
+    # Self times add up to the root spans by construction; what can go
+    # wrong is the nesting they rest on, e.g. a collection whose "stop"
+    # callback never came, which would leave an open span as the parent
+    # of everything after it.
+    for i, (s, counted) in enumerate(zip(spans, inside)):
+        if not counted:
+            continue
+        if s[2] < s[1]:
+            problems.append(f"span {i} ({s[0]}) ends before it starts")
+            break
+        if s[0] != ROOT:
+            parent = spans[s[3]]
+            if not parent[1] <= s[1] <= s[2] <= parent[2]:
+                problems.append(f"span {i} ({s[0]}) lies outside its parent {s[3]} ({parent[0]})")
+                break
     worst = min((t for t, counted in zip(own, inside) if counted), default=0.0)
     if worst < -1e-4:
         problems.append(f"negative self time {worst:.6f}s")

@@ -1,14 +1,17 @@
 """One benchmark run in a fresh process; started by ``run.py``.
 
 Imports ``schoolmatch`` from the checkout's ``src/`` and calls
-``schoolmatch.cli.main`` in whole rounds until the calls have taken
-``--seconds``, recording every mechanism's allocation.  With ``--trace 1``
+``schoolmatch.cli.main`` for the workload's fixed number of rounds,
+recording every mechanism's allocation.  Between two rounds it starts
+one set-up probe: this file again with ``--probe``, which only imports
+the package.  The probes are spread over the run so that set-up is
+timed in the same host conditions as the rounds.  With ``--trace 1``
 each layer is wrapped in spans as well.  After the timed rounds it
 re-runs round 0 with no hooks at all and compares the CSV bytes, then
 checks every round with ``checks.py``.  Prints one JSON line.
 
 With ``--probe`` it only imports the package and prints the monotonic
-time at which the import returned, for the set-up measurement.
+time at which the import returned.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import contextlib  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
 import resource  # noqa: E402
+import subprocess  # noqa: E402
 import sys  # noqa: E402
 import traceback  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -46,9 +50,17 @@ def call_main(argv: list[str], main) -> tuple[bool, str]:
     return code == 0, out.getvalue()
 
 
-def timed_rounds(workload, seed: int, seconds: float, market_file, tracer):
-    """Whole rounds until their CLI calls have taken ``seconds``:
-    [(ok, seconds, csv, calls)]."""
+def setup_probe(src: str) -> float:
+    """Seconds from spawning a probe until its import of the package returned."""
+    started = time.monotonic()
+    out = subprocess.run([sys.executable, __file__, "--probe", "--src", src],
+                         stdout=subprocess.PIPE, text=True, check=True).stdout
+    return json.loads(out)["ready"] - started
+
+
+def timed_rounds(workload, seed: int, count: int, market_file, tracer, src: str):
+    """``count`` whole rounds, a set-up probe after each:
+    ([(ok, wall seconds, csv, calls)], [probe seconds])."""
     patcher = Patcher()
     capture = Capture()
     capture.install(patcher)
@@ -56,11 +68,9 @@ def timed_rounds(workload, seed: int, seconds: float, market_file, tracer):
     if tracer is not None:
         tracer.install(patcher)
         main = tracer.wrap(ROOT, main)
-    rounds = []
-    measured = 0.0
+    rounds, probes = [], []
     try:
-        while measured < seconds:
-            i = len(rounds)
+        for i in range(count):
             argv = workload.argv(seed, i, market_file)
             if tracer is not None:
                 tracer.round = i
@@ -68,8 +78,8 @@ def timed_rounds(workload, seed: int, seconds: float, market_file, tracer):
             ok, text = call_main(argv, main)
             t1 = time.perf_counter()
             rounds.append((ok, t1 - t0, text, capture.take()))
-            measured += t1 - t0
-        return rounds
+            probes.append(setup_probe(src))
+        return rounds, probes
     finally:
         if tracer is not None:
             tracer.uninstall()
@@ -99,7 +109,8 @@ def main() -> None:
     if workload.fixed_market:
         write_market_file(workload.fixed_market_arrays(), Path(args.market_file))
     tracer = Tracer() if args.trace else None
-    rounds = timed_rounds(workload, args.seed, args.seconds, args.market_file, tracer)
+    rounds, probes = timed_rounds(workload, args.seed, workload.rounds(args.seconds),
+                                  args.market_file, tracer, args.src)
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
     problems = []
@@ -125,9 +136,10 @@ def main() -> None:
         "problems": problems,
         "rounds": [{"ok": ok, "seconds": s} for ok, s, *_ in rounds],
         "ready": T_READY,
-        # The slowest round: the host alternates between two speeds about
-        # 25% apart every few seconds, and the slow one is the one every
-        # run sees, so the median or mean of rounds mixes the two.
+        "setup_samples_s": probes,
+        # The slowest round: other tenants of the host change its speed
+        # by up to 2x within minutes, and over ten seeds the slowest of
+        # a fixed number of rounds repeated better than their median.
         "reps_per_s": min(rates, default=0.0),
         "peak_rss_mb": peak_rss_mb,
     }
