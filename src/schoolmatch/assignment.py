@@ -3,7 +3,11 @@
 The solver augments one row at a time along a shortest path in the
 reduced-cost graph, maintaining dual potentials so edge weights stay
 nonnegative (Jonker-Volgenant style successive shortest paths).  Worst
-case O(rows * cols^2); the Dijkstra scan is vectorized over columns.
+case O(rows * cols^2).  Rank costs are small integers, so many columns
+tie at each distance; the Dijkstra search therefore advances one tie
+layer at a time, scanning every column of the layer and relaxing all
+their matched rows in one vectorized step.  The search stops at the
+first layer holding a free column and takes the lowest-index one.
 
 Costs are nonnegative reals; ``inf`` marks a forbidden pairing (an
 unranked school, when costs are preference ranks).  Integer costs are
@@ -82,54 +86,59 @@ def _result(c: np.ndarray, col_of_row: np.ndarray) -> AssignmentResult:
 def min_cost_assignment(cost) -> AssignmentResult:
     """Exact minimum-cost matching of every row to a distinct column.
 
-    Deterministic: ties inside the shortest-path scan are broken by the
-    lowest column index, so identical inputs give identical matchings.
+    Rows are matched one at a time.  A row whose cheapest reduced cost
+    is attained by a free column takes the lowest-index such column.
+    Otherwise a Dijkstra search from the row advances one layer at a
+    time: every column at the current minimum distance is scanned at
+    once, and the search stops at the first layer that holds a free
+    column, taking the lowest-index one.  Identical inputs therefore
+    give identical matchings.
     """
     c = _as_cost_matrix(cost)
     n_rows, n_cols = c.shape
-    for i in range(n_rows):
-        if not np.isfinite(c[i]).any():
-            raise InfeasibleAssignmentError(f"infeasible row {i}: all costs are infinite")
+    dead = ~np.isfinite(c).any(axis=1)
+    if dead.any():
+        raise InfeasibleAssignmentError(
+            f"infeasible row {int(dead.argmax())}: all costs are infinite"
+        )
 
     v = np.zeros(n_cols)  # column potentials; row duals are recomputed on the fly
     row_of_col = np.full(n_cols, -1, dtype=np.int64)
     col_of_row = np.full(n_rows, -1, dtype=np.int64)
+    free = np.ones(n_cols, dtype=bool)
 
     for cur_row in range(n_rows):
         # Dijkstra from cur_row over columns in the reduced-cost graph.
-        shortest = np.full(n_cols, np.inf)
+        # When a free column is among the nearest, no column is scanned.
+        shortest = c[cur_row] - v
         pred_row = np.full(n_cols, cur_row, dtype=np.int64)
         done = np.zeros(n_cols, dtype=bool)
-        min_val = 0.0
-        i = cur_row
-        u_i = 0.0
-        sink = -1
-        while sink == -1:
-            todo = np.nonzero(~done)[0]
-            d = min_val + c[i, todo] - u_i - v[todo]
-            better = d < shortest[todo]
-            if better.any():
-                idx = todo[better]
-                shortest[idx] = d[better]
-                pred_row[idx] = i
-            pick = int(np.argmin(shortest[todo]))
-            j = int(todo[pick])
-            min_val = shortest[j]
+        min_val = shortest.min()
+        layer = shortest == min_val
+        sinks = layer & free
+        while not sinks.any():
+            # Scan the whole tie layer: reduced costs are nonnegative, so
+            # the order of columns at one distance does not matter.
+            done |= layer
+            cols = np.flatnonzero(layer)
+            rows = row_of_col[cols]
+            u = c[rows, cols] - v[cols]  # duals of the rows reached
+            d = c[rows] - v - u[:, None]
+            reach = d.min(axis=0) + min_val
+            better = (reach < shortest) & ~done
+            shortest[better] = reach[better]
+            pred_row[better] = rows[d[:, better].argmin(axis=0)]
+            min_val = np.where(done, np.inf, shortest).min()
             if not np.isfinite(min_val):
                 raise InfeasibleAssignmentError(
                     f"infeasible row {cur_row}: no augmenting path with finite cost"
                 )
-            done[j] = True
-            if row_of_col[j] == -1:
-                sink = j
-            else:
-                i = int(row_of_col[j])
-                u_i = c[i, j] - v[j]  # dual of the row reached through column j
+            layer = (shortest == min_val) & ~done
+            sinks = layer & free
+        j = int(sinks.argmax())
+        free[j] = False
         # Update potentials of scanned columns, then flip the path.
-        scanned = done.copy()
-        scanned[sink] = False
-        v[scanned] += shortest[scanned] - min_val
-        j = sink
+        v[done] += shortest[done] - min_val
         while True:
             i = int(pred_row[j])
             row_of_col[j] = i

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import math
 import sys
 from pathlib import Path
 
@@ -78,10 +77,6 @@ def _merge_config(args: argparse.Namespace, converters: dict) -> None:
             setattr(args, key, converters[key](value))
 
 
-def _default_thresholds(n: int) -> tuple[float, ...]:
-    return (1.0, 2.0, math.log(n), 0.1 * n, 0.25 * n, 0.5 * n)
-
-
 def _emit(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text, encoding="utf-8")
@@ -99,13 +94,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         "market": str,
     }
     _merge_config(args, converters)
-    n = args.n if args.n is not None else 100
     config = ExperimentConfig(
-        n=n,
+        n=args.n if args.n is not None else 100,
         replications=args.reps if args.reps is not None else 1000,
         master_seed=args.seed if args.seed is not None else 0,
         mechanisms=args.mechanisms if args.mechanisms is not None else ("RM", "TTC", "DA"),
-        thresholds=args.thresholds if args.thresholds is not None else _default_thresholds(n),
+        thresholds=args.thresholds,
         market_path=args.market,
     )
     _emit(run_experiment(config).to_csv(), args.out)
@@ -210,7 +204,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--mechanisms", type=_mechanism_list, default=None,
                      help="comma list from DA,TTC,RSD,RM (default RM,TTC,DA)")
     sim.add_argument("--thresholds", type=_float_list, default=None,
-                     help="rank cutoffs (default 1,2,log n,0.1n,0.25n,0.5n)")
+                     help="rank cutoffs (default 1,2,log n,0.1n,0.25n,0.5n for the "
+                          "market's n students)")
     sim.add_argument("--market", default=None, help="fixed market file instead of random markets")
     sim.add_argument("--config", default=None, help="key=value file with defaults for the flags")
     sim.add_argument("--out", default=None, help="write CSV here instead of stdout")

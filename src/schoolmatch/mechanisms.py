@@ -55,6 +55,8 @@ def deferred_acceptance(market: Market) -> Allocation:
             if len(held[s]) < caps[s]:
                 heapq.heappush(held[s], (-pos, t))
                 break
+            if not held[s]:
+                continue  # a school with no seats rejects every applicant
             neg_worst, worst_t = held[s][0]
             if pos < -neg_worst:
                 heapq.heapreplace(held[s], (-pos, t))

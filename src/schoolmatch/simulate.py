@@ -166,20 +166,24 @@ class ExperimentConfig:
     derive_seed(S, r, 0) and mechanism seeds derive_seed(S, r, tag), so
     every replication is independently reproducible.  With market_path
     set, the same file-loaded market is used in every replication and
-    only the mechanism randomness varies.
+    only the mechanism randomness varies.  Thresholds of None stand for
+    the default cutoffs 1, 2, ln n, n/10, n/4 and n/2, where n is the
+    number of students in the market (read from the file when
+    market_path is set).
     """
 
     n: int
     replications: int
     master_seed: int
     mechanisms: tuple[str, ...] = ("RM", "TTC", "DA")
-    thresholds: tuple[float, ...] = ()
+    thresholds: tuple[float, ...] | None = ()
     manipulation: Manipulation | None = None
     market_path: str | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "mechanisms", tuple(self.mechanisms))
-        object.__setattr__(self, "thresholds", tuple(float(m) for m in self.thresholds))
+        if self.thresholds is not None:
+            object.__setattr__(self, "thresholds", tuple(float(m) for m in self.thresholds))
         if self.n < 1:
             raise ValueError("n must be at least 1")
         if self.replications < 1:
@@ -308,6 +312,10 @@ def _summarize(label: str, acc: _Accumulator) -> MechanismSummary:
     )
 
 
+def _default_thresholds(n: int) -> tuple[float, ...]:
+    return (1.0, 2.0, math.log(n), 0.1 * n, 0.25 * n, 0.5 * n)
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run every configured mechanism over fresh replications.
 
@@ -318,12 +326,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     ORIGINAL preferences and priorities.
     """
     fixed = load_market(config.market_path) if config.market_path else None
+    n_market = fixed.n_students if fixed else config.n
+    if config.thresholds is None:
+        config = replace(config, thresholds=_default_thresholds(n_market))
     cutoffs = config.thresholds
     accs: dict[str, _Accumulator] = {m: _Accumulator() for m in config.mechanisms}
     manip_label = config.manipulation.label if config.manipulation else None
     if manip_label:
         accs[manip_label] = _Accumulator()
-    n_market = fixed.n_students if fixed else config.n
 
     for r in range(config.replications):
         try:

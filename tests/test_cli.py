@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from schoolmatch.cli import main
@@ -78,6 +80,19 @@ def test_evaluate_per_student_ranks(tmp_path, capsys):
         mech, student, school, rank = line.split(",")
         assert mech in {"DA", "RM"}
         assert 1 <= int(rank) <= 5
+
+
+def test_simulate_market_file_default_thresholds(tmp_path, capsys):
+    path = tmp_path / "market.txt"
+    save_market(generate_uniform_market(12, 4), path)
+    code, out, err = run_cli(
+        capsys, "simulate", "--market", str(path), "--reps", "2", "--mechanisms", "DA"
+    )
+    assert code == 0, err
+    rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+    assert [row[1] for row in rows] == ["12"] * 6
+    cutoffs = [float(row[10]) for row in rows]
+    assert cutoffs == pytest.approx([1, 2, math.log(12), 1.2, 3, 6])
 
 
 def test_evaluate_missing_file(capsys):

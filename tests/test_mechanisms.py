@@ -261,6 +261,11 @@ class TestCrossMechanismProperties:
             b = run_mechanism(name, m, 99)
             assert a.assignment == b.assignment
 
+    def test_zero_seat_school_rejects_its_applicants(self):
+        m = Market(capacities=(0, 2), prefs=((0, 1), (0, 1)), priorities=((0, 1), (0, 1)))
+        for name in ("DA", "TTC", "RSD", "RM"):
+            assert run_mechanism(name, m, 3).assignment == (1, 1), name
+
     def test_unknown_mechanism(self):
         with pytest.raises(ValueError, match="unknown mechanism"):
             run_mechanism("BOSTON", generate_uniform_market(2, 0), 0)
