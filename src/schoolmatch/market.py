@@ -5,6 +5,12 @@ Market files may use arbitrary integer ids; the loader maps them onto
 indices (ascending id order) and keeps the original ids for round-tripping
 and reporting.  All algorithmic code works on indices.
 
+A market stores its preference and priority lists as read-only int64
+arrays, each row padded with -1 to the longest list, plus the list
+lengths.  Mechanisms and metrics read them through ``rank_table`` and
+``priority_table``, whose builds refuse ids out of range.  The tuple
+views ``prefs`` and ``priorities`` are built only when first read.
+
 Markets and allocations are immutable after construction and every
 operation here is a pure function, so instances can be shared freely
 across threads.
@@ -12,8 +18,9 @@ across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +57,46 @@ class UnrankedSchoolError(ValueError):
     """A school was used where the student never ranked it."""
 
 
-@dataclass(frozen=True)
+def _as_padded(lists) -> tuple[np.ndarray, np.ndarray]:
+    """Nested sequences, or a 2-D integer array of full-length lists, as
+    (read-only int64 array padded with -1, read-only list lengths)."""
+    if isinstance(lists, np.ndarray) and lists.ndim == 2:
+        padded = lists.astype(np.int64)  # a copy the caller cannot write to
+        lengths = np.full(padded.shape[0], padded.shape[1], dtype=np.int64)
+    else:
+        rows = list(lists)
+        lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+        padded = np.full((len(rows), lengths.max(initial=0)), -1, dtype=np.int64)
+        padded[np.arange(padded.shape[1]) < lengths[:, None]] = np.fromiter(
+            chain.from_iterable(rows), dtype=np.int64, count=int(lengths.sum())
+        )
+    padded.setflags(write=False)
+    lengths.setflags(write=False)
+    return padded, lengths
+
+
+def _lookup_table(lists: np.ndarray, lengths: np.ndarray, width: int,
+                  owner: str, item: str) -> np.ndarray:
+    """(rows, width) read-only table of each id's 1-based position in the
+    row's list; ids the list leaves out get the sentinel width + 2.
+
+    Raises ValueError naming the first row that lists an id outside
+    0..width-1, so no mechanism reads such an id as another index.
+    """
+    listed = np.arange(lists.shape[1]) < lengths[:, None]
+    unknown = np.argwhere(listed & ((lists < 0) | (lists >= width)))
+    if unknown.size:
+        row, col = unknown[0]
+        raise ValueError(f"{owner} {row}: unknown {item} id {lists[row, col]}")
+    # The -1 padding lands in a spill column past the last id.
+    table = np.full((lists.shape[0], width + 1), width + 2, dtype=np.int64)
+    np.put_along_axis(table, lists, np.arange(1, lists.shape[1] + 1)[None, :], axis=1)
+    table = table[:, :width]
+    table.setflags(write=False)
+    return table
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class Market:
     """A school choice market.
 
@@ -62,28 +108,48 @@ class Market:
         priority.  Students left out are unacceptable to the school.
     student_ids / school_ids: external labels (strictly increasing),
         defaulting to 0..n-1 and 0..m-1.
+
+    prefs and priorities may be nested sequences or 2-D integer arrays
+    (full lists).  They are stored as ``pref_array``/``list_lengths`` and
+    ``priority_array``/``priority_lengths`` (read-only int64, rows padded
+    with -1) and read back as tuples of tuples built on first access.
+    Construction checks nothing: ``validate_market`` reports problems.
     """
 
     capacities: tuple[int, ...]
-    prefs: tuple[tuple[int, ...], ...]
-    priorities: tuple[tuple[int, ...], ...]
-    student_ids: tuple[int, ...] = ()
-    school_ids: tuple[int, ...] = ()
+    pref_array: np.ndarray
+    list_lengths: np.ndarray
+    priority_array: np.ndarray
+    priority_lengths: np.ndarray
+    student_ids: tuple[int, ...]
+    school_ids: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "capacities", tuple(int(c) for c in self.capacities))
-        object.__setattr__(self, "prefs", tuple(tuple(int(s) for s in p) for p in self.prefs))
-        object.__setattr__(
-            self, "priorities", tuple(tuple(int(t) for t in p) for p in self.priorities)
-        )
-        sids = self.student_ids or range(len(self.prefs))
-        object.__setattr__(self, "student_ids", tuple(int(i) for i in sids))
-        cids = self.school_ids or range(len(self.capacities))
-        object.__setattr__(self, "school_ids", tuple(int(i) for i in cids))
+    def __init__(self, capacities, prefs, priorities, student_ids=(), school_ids=()) -> None:
+        capacities = tuple(int(c) for c in capacities)
+        prefs, priorities = _as_padded(prefs), _as_padded(priorities)
+        student_ids = tuple(int(i) for i in student_ids or range(len(prefs[1])))
+        school_ids = tuple(int(i) for i in school_ids or range(len(capacities)))
+        stored = (capacities, *prefs, *priorities, student_ids, school_ids)
+        vars(self).update(zip([f.name for f in fields(self)], stored))
+
+    def _replace(self, **changes) -> Market:
+        """A copy with ``changes`` in stored form; other fields are shared."""
+        market = object.__new__(Market)
+        vars(market).update({f.name: getattr(self, f.name) for f in fields(self)}, **changes)
+        return market
+
+    def _value(self) -> tuple:
+        return self.capacities, self.prefs, self.priorities, self.student_ids, self.school_ids
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Market) and self._value() == other._value()
+
+    def __hash__(self) -> int:
+        return hash(self._value())
 
     @property
     def n_students(self) -> int:
-        return len(self.prefs)
+        return len(self.list_lengths)
 
     @property
     def n_schools(self) -> int:
@@ -101,61 +167,45 @@ class Market:
     @property
     def has_full_lists(self) -> bool:
         """Every student ranks every school."""
-        return all(len(p) == self.n_schools for p in self.prefs)
+        return bool((self.list_lengths == self.n_schools).all())
 
     # Cached derived views.  cached_property writes straight into
     # __dict__, which is fine on a frozen dataclass; the arrays are
     # marked read-only so sharing them cannot break immutability.
 
     @cached_property
-    def list_lengths(self) -> np.ndarray:
-        """(n,) length of each student's preference list."""
-        arr = np.fromiter((len(p) for p in self.prefs), dtype=np.int64, count=self.n_students)
-        arr.setflags(write=False)
-        return arr
+    def prefs(self) -> tuple[tuple[int, ...], ...]:
+        """Per student, the preference list as a tuple of school indices."""
+        rows = zip(self.pref_array.tolist(), self.list_lengths.tolist())
+        return tuple(tuple(row[:k]) for row, k in rows)
+
+    @cached_property
+    def priorities(self) -> tuple[tuple[int, ...], ...]:
+        """Per school, the priority list as a tuple of student indices."""
+        rows = zip(self.priority_array.tolist(), self.priority_lengths.tolist())
+        return tuple(tuple(row[:k]) for row, k in rows)
 
     @cached_property
     def rank_table(self) -> np.ndarray:
         """(n, m) 1-based rank of each school for each student.
 
         Unranked schools get the sentinel m + 2, strictly above every
-        effective rank (the worst effective rank is m + 1).
+        effective rank (the worst effective rank is m + 1).  Raises
+        ValueError if a list names a school outside 0..m-1.
         """
-        n, m = self.n_students, self.n_schools
-        table = np.full((n, m), m + 2, dtype=np.int64)
-        if n and m and all(len(p) == m for p in self.prefs):
-            idx = np.asarray(self.prefs, dtype=np.int64)
-            table[np.arange(n)[:, None], idx] = np.arange(1, m + 1)[None, :]
-        else:
-            for t, plist in enumerate(self.prefs):
-                if plist:
-                    table[t, list(plist)] = np.arange(1, len(plist) + 1)
-        table.setflags(write=False)
-        return table
+        return _lookup_table(self.pref_array, self.list_lengths, self.n_schools,
+                             "student", "school")
 
     @cached_property
     def priority_table(self) -> np.ndarray:
         """(m, n) 1-based priority position of each student at each school.
 
         Students a school does not rank get the sentinel n + 2, strictly
-        above the n + 1 cutoff used for vacant seats.
+        above the n + 1 cutoff used for vacant seats.  Raises ValueError
+        if a list names a student outside 0..n-1.
         """
-        n, m = self.n_students, self.n_schools
-        table = np.full((m, n), n + 2, dtype=np.int64)
-        if n and m and all(len(p) == n for p in self.priorities):
-            idx = np.asarray(self.priorities, dtype=np.int64)
-            table[np.arange(m)[:, None], idx] = np.arange(1, n + 1)[None, :]
-        else:
-            for s, plist in enumerate(self.priorities):
-                if plist:
-                    table[s, list(plist)] = np.arange(1, len(plist) + 1)
-        table.setflags(write=False)
-        return table
-
-    @cached_property
-    def priority_pos(self) -> tuple[dict[int, int], ...]:
-        """Per school, student -> 0-based position in its priority list."""
-        return tuple({t: i for i, t in enumerate(p)} for p in self.priorities)
+        return _lookup_table(self.priority_array, self.priority_lengths, self.n_students,
+                             "school", "student")
 
 
 @dataclass(frozen=True)
@@ -187,15 +237,12 @@ def rank_of(market: Market, student: int, school: int) -> int:
     school).  Asking about a school the student never ranked raises
     UnrankedSchoolError; callers must treat such schools as unacceptable.
     """
-    plist = market.prefs[student]
+    length = int(market.list_lengths[student])
     if school == UNASSIGNED:
-        return len(plist) + 1
-    try:
-        return plist.index(school) + 1
-    except ValueError:
-        raise UnrankedSchoolError(
-            f"student {student} does not rank school {school}"
-        ) from None
+        return length + 1
+    if 0 <= school < market.n_schools and market.rank_table[student, school] <= length:
+        return int(market.rank_table[student, school])
+    raise UnrankedSchoolError(f"student {student} does not rank school {school}")
 
 
 def effective_ranks(market: Market, allocation: Allocation) -> np.ndarray:
@@ -203,9 +250,23 @@ def effective_ranks(market: Market, allocation: Allocation) -> np.ndarray:
     a = allocation.as_array()
     ranks = market.list_lengths + 1
     assigned = np.nonzero(a >= 0)[0]
-    if assigned.size:
-        ranks[assigned] = market.rank_table[assigned, a[assigned]]
+    ranks[assigned] = market.rank_table[assigned, a[assigned]]
     return ranks
+
+
+def _list_problems(lists: np.ndarray, lengths: np.ndarray, bound: int,
+                   owner: str, item: str, list_name: str) -> list[str]:
+    """Unknown and repeated ids, row by row in list order."""
+    problems = []
+    for i, (row, k) in enumerate(zip(lists.tolist(), lengths.tolist())):
+        seen: set[int] = set()
+        for x in row[:k]:
+            if not 0 <= x < bound:
+                problems.append(f"{owner} {i}: unknown {item} id {x}")
+            elif x in seen:
+                problems.append(f"{owner} {i}: duplicate {item} {x} in {list_name}")
+            seen.add(x)
+    return problems
 
 
 def validate_market(market: Market) -> list[str]:
@@ -219,34 +280,17 @@ def validate_market(market: Market) -> list[str]:
     for s, cap in enumerate(market.capacities):
         if cap < 1:
             problems.append(f"school {s}: capacity must be at least 1, got {cap}")
-    for t, plist in enumerate(market.prefs):
-        seen: set[int] = set()
-        for s in plist:
-            if not 0 <= s < m:
-                problems.append(f"student {t}: unknown school id {s}")
-            elif s in seen:
-                problems.append(f"student {t}: duplicate school {s} in preference list")
-            seen.add(s)
-    if len(market.priorities) != m:
-        problems.append(
-            f"priorities cover {len(market.priorities)} schools, expected {m}"
-        )
-    for s, plist in enumerate(market.priorities):
-        seen = set()
-        for t in plist:
-            if not 0 <= t < n:
-                problems.append(f"school {s}: unknown student id {t}")
-            elif t in seen:
-                problems.append(f"school {s}: duplicate student {t} in priority list")
-            seen.add(t)
-    if len(market.student_ids) != n:
-        problems.append("student_ids length does not match number of students")
-    elif any(a >= b for a, b in zip(market.student_ids, market.student_ids[1:])):
-        problems.append("student_ids must be strictly increasing")
-    if len(market.school_ids) != m:
-        problems.append("school_ids length does not match number of schools")
-    elif any(a >= b for a, b in zip(market.school_ids, market.school_ids[1:])):
-        problems.append("school_ids must be strictly increasing")
+    problems += _list_problems(market.pref_array, market.list_lengths, m,
+                               "student", "school", "preference list")
+    if len(market.priority_lengths) != m:
+        problems.append(f"priorities cover {len(market.priority_lengths)} schools, expected {m}")
+    problems += _list_problems(market.priority_array, market.priority_lengths, n,
+                               "school", "student", "priority list")
+    for ids, count, name in ((market.student_ids, n, "student"), (market.school_ids, m, "school")):
+        if len(ids) != count:
+            problems.append(f"{name}_ids length does not match number of {name}s")
+        elif any(a >= b for a, b in zip(ids, ids[1:])):
+            problems.append(f"{name}_ids must be strictly increasing")
     return problems
 
 
@@ -300,7 +344,7 @@ def balance_capacities(market: Market) -> Market:
             pool = [s for s, c in enumerate(caps) if c > 0]
         target = max(pool, key=lambda s: (caps[s], -s))
         caps[target] -= 1
-    return replace(market, capacities=tuple(caps))
+    return market._replace(capacities=tuple(caps))
 
 
 # Market file format (UTF-8 text):
@@ -308,8 +352,6 @@ def balance_capacities(market: Market) -> Market:
 #   [students]    lines "student_id,pref1;pref2;..."
 #   [priorities]  lines "school_id,stud1;stud2;..."   (section optional)
 # save_market emits canonical ordering: ids ascending within each section.
-
-_SECTIONS = ("[schools]", "[students]", "[priorities]")
 
 
 def load_market(path: str | Path) -> Market:
@@ -319,13 +361,15 @@ def load_market(path: str | Path) -> Market:
     schools: dict[int, int] = {}
     students: dict[int, list[int]] = {}
     priorities: dict[int, list[int]] = {}
+    sections = {"[schools]": (schools, "school"), "[students]": (students, "student"),
+                "[priorities]": (priorities, "priorities")}
     section = None
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
             continue
-        if line in _SECTIONS:
-            section = line
+        if line in sections:
+            section = sections[line]
             continue
         if section is None:
             raise MarketFormatError(f"line {lineno}: content before any section header")
@@ -336,27 +380,12 @@ def load_market(path: str | Path) -> Market:
             ident = int(head)
         except ValueError:
             raise MarketFormatError(f"line {lineno}: bad id {head!r}") from None
+        rows, label = section
+        if ident in rows:
+            raise MarketFormatError(f"line {lineno}: duplicate {label} row {ident}")
         try:
-            if section == "[schools]":
-                if ident in schools:
-                    raise MarketFormatError(f"line {lineno}: duplicate school row {ident}")
-                schools[ident] = int(tail)
-            else:
-                items = [int(tok) for tok in tail.split(";") if tok.strip()]
-                if section == "[students]":
-                    if ident in students:
-                        raise MarketFormatError(
-                            f"line {lineno}: duplicate student row {ident}"
-                        )
-                    students[ident] = items
-                else:
-                    if ident in priorities:
-                        raise MarketFormatError(
-                            f"line {lineno}: duplicate priorities row {ident}"
-                        )
-                    priorities[ident] = items
-        except MarketFormatError:
-            raise
+            rows[ident] = (int(tail) if rows is schools
+                           else [int(tok) for tok in tail.split(";") if tok.strip()])
         except ValueError as exc:
             raise MarketFormatError(f"line {lineno}: {exc}") from None
 
@@ -367,35 +396,18 @@ def load_market(path: str | Path) -> Market:
 
     school_ids = sorted(schools)
     student_ids = sorted(students)
-    school_index = {sid: i for i, sid in enumerate(school_ids)}
-    student_index = {tid: i for i, tid in enumerate(student_ids)}
-
     for sid in priorities:
-        if sid not in school_index:
+        if sid not in schools:
             raise MarketFormatError(f"priorities given for unknown school id {sid}")
 
-    def map_schools(tid: int, ids: list[int]) -> tuple[int, ...]:
-        out = []
-        for sid in ids:
-            if sid not in school_index:
-                raise MarketFormatError(f"student {tid}: unknown school id {sid}")
-            out.append(school_index[sid])
-        return tuple(out)
-
-    def map_students(sid: int, ids: list[int]) -> tuple[int, ...]:
-        out = []
-        for tid in ids:
-            if tid not in student_index:
-                raise MarketFormatError(f"school {sid}: unknown student id {tid}")
-            out.append(student_index[tid])
-        return tuple(out)
-
     market = Market(
-        capacities=tuple(schools[sid] for sid in school_ids),
-        prefs=tuple(map_schools(tid, students[tid]) for tid in student_ids),
-        priorities=tuple(map_students(sid, priorities.get(sid, [])) for sid in school_ids),
-        student_ids=tuple(student_ids),
-        school_ids=tuple(school_ids),
+        capacities=[schools[sid] for sid in school_ids],
+        prefs=_indices([students[tid] for tid in student_ids], student_ids, school_ids,
+                       "student", "school"),
+        priorities=_indices([priorities.get(sid, []) for sid in school_ids], school_ids,
+                            student_ids, "school", "student"),
+        student_ids=student_ids,
+        school_ids=school_ids,
     )
     problems = validate_market(market)
     if problems:
@@ -403,17 +415,26 @@ def load_market(path: str | Path) -> Market:
     return market
 
 
+def _indices(rows: list[list[int]], owners: list[int], ids: list[int],
+             owner: str, item: str) -> list[list[int]]:
+    """Lists of external ids mapped onto their positions in ``ids``."""
+    position = {x: i for i, x in enumerate(ids)}
+    try:
+        return [[position[x] for x in row] for row in rows]
+    except KeyError as exc:
+        # the first unknown id stops the mapping inside the first row holding one
+        bad = exc.args[0]
+        who = next(w for w, row in zip(owners, rows) if bad in row)
+        raise MarketFormatError(f"{owner} {who}: unknown {item} id {bad}") from None
+
+
 def save_market(market: Market, path: str | Path) -> None:
     """Write ``market`` in the canonical file format (ids ascending)."""
-    out = ["[schools]"]
-    for s, cap in enumerate(market.capacities):
-        out.append(f"{market.school_ids[s]},{cap}")
-    out.append("[students]")
-    for t, plist in enumerate(market.prefs):
-        tokens = ";".join(str(market.school_ids[s]) for s in plist)
-        out.append(f"{market.student_ids[t]},{tokens}")
-    out.append("[priorities]")
-    for s, plist in enumerate(market.priorities):
-        tokens = ";".join(str(market.student_ids[t]) for t in plist)
-        out.append(f"{market.school_ids[s]},{tokens}")
+    out = ["[schools]", *(f"{sid},{cap}" for sid, cap in zip(market.school_ids, market.capacities))]
+    for header, owners, lists, ids in (
+        ("[students]", market.student_ids, market.prefs, market.school_ids),
+        ("[priorities]", market.school_ids, market.priorities, market.student_ids),
+    ):
+        out.append(header)
+        out += [f"{who}," + ";".join(str(ids[x]) for x in row) for who, row in zip(owners, lists)]
     Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")

@@ -26,6 +26,13 @@ __all__ = [
 ]
 
 
+def _checked_prefs(market: Market) -> tuple[memoryview, list[int]]:
+    """Preferences as [student, k] -> school and the list lengths, once
+    building ``rank_table`` has refused any school id out of range."""
+    market.rank_table
+    return memoryview(market.pref_array), market.list_lengths.tolist()
+
+
 def deferred_acceptance(market: Market) -> Allocation:
     """Student-proposing deferred acceptance.
 
@@ -37,7 +44,8 @@ def deferred_acceptance(market: Market) -> Allocation:
     order.
     """
     n = market.n_students
-    prio_pos = market.priority_pos
+    prefs, lengths = _checked_prefs(market)
+    prio_pos = memoryview(market.priority_table)  # n + 2 for unranked students
     caps = market.capacities
     next_choice = [0] * n
     # Per school: heap of (-priority position, student); worst held on top.
@@ -45,12 +53,11 @@ def deferred_acceptance(market: Market) -> Allocation:
     pending = list(range(n - 1, -1, -1))
     while pending:
         t = pending.pop()
-        plist = market.prefs[t]
-        while next_choice[t] < len(plist):
-            s = plist[next_choice[t]]
+        while next_choice[t] < lengths[t]:
+            s = prefs[t, next_choice[t]]
             next_choice[t] += 1
-            pos = prio_pos[s].get(t)
-            if pos is None:
+            pos = prio_pos[s, t]
+            if pos > n:
                 continue  # unranked applicant: rejected outright
             if len(held[s]) < caps[s]:
                 heapq.heappush(held[s], (-pos, t))
@@ -82,9 +89,9 @@ def top_trading_cycles(market: Market) -> Allocation:
     everyone.
     """
     n = market.n_students
-    prefs = market.prefs
-    priorities = market.priorities
-    prio_pos = market.priority_pos
+    prefs, lengths = _checked_prefs(market)
+    prio_pos = memoryview(market.priority_table)  # n + 2 for unranked students
+    prio_list = memoryview(market.priority_array)
     seats = list(market.capacities)
     student_ptr = [0] * n
     school_ptr = [0] * market.n_schools
@@ -94,19 +101,17 @@ def top_trading_cycles(market: Market) -> Allocation:
     def student_target(t: int) -> int:
         # Seats only shrink and acceptability never changes, so skipped
         # options are dead for good and the pointer may move permanently.
-        plist = prefs[t]
-        while student_ptr[t] < len(plist):
-            s = plist[student_ptr[t]]
-            if seats[s] > 0 and t in prio_pos[s]:
+        while student_ptr[t] < lengths[t]:
+            s = prefs[t, student_ptr[t]]
+            if seats[s] > 0 and prio_pos[s, t] <= n:
                 return s
             student_ptr[t] += 1
         return UNASSIGNED
 
     def school_target(s: int) -> int:
-        plist = priorities[s]
-        while removed[plist[school_ptr[s]]]:
+        while removed[prio_list[s, school_ptr[s]]]:
             school_ptr[s] += 1
-        return plist[school_ptr[s]]
+        return prio_list[s, school_ptr[s]]
 
     cursor = 0
     left = n
@@ -141,10 +146,12 @@ def serial_dictatorship(market: Market, order) -> Allocation:
     order = [int(t) for t in order]
     if sorted(order) != list(range(market.n_students)):
         raise ValueError("order must be a permutation of all students")
+    prefs, lengths = _checked_prefs(market)
     seats = list(market.capacities)
     assignment = [UNASSIGNED] * market.n_students
     for t in order:
-        for s in market.prefs[t]:
+        for k in range(lengths[t]):
+            s = prefs[t, k]
             if seats[s] > 0:
                 assignment[t] = s
                 seats[s] -= 1
@@ -158,7 +165,7 @@ def random_serial_dictatorship(market: Market, seed: int) -> Allocation:
     return serial_dictatorship(market, rng.permutation(market.n_students))
 
 
-def _rank_cost_matrix(market: Market) -> tuple[np.ndarray, list[int]]:
+def _rank_cost_matrix(market: Market) -> tuple[np.ndarray, np.ndarray]:
     """Effective-rank cost matrix over unit seats.
 
     Columns are school seats (capacity expansion); when some list is
@@ -170,16 +177,12 @@ def _rank_cost_matrix(market: Market) -> tuple[np.ndarray, list[int]]:
     n = market.n_students
     ranks = market.rank_table.astype(np.float64)
     ranks[ranks > market.list_lengths[:, None]] = np.inf
-    columns: list[int] = []
-    for s, cap in enumerate(market.capacities):
-        columns.extend([s] * cap)
-    cost = ranks[:, columns] if columns else np.empty((n, 0))
+    columns = np.repeat(np.arange(market.n_schools), market.capacities)
+    cost = ranks[:, columns]
     if not market.has_full_lists or market.total_seats < n:
-        unassigned_cost = np.repeat(
-            (market.list_lengths + 1.0)[:, None], n, axis=1
-        )
+        unassigned_cost = np.repeat((market.list_lengths + 1.0)[:, None], n, axis=1)
         cost = np.hstack([cost, unassigned_cost])
-        columns = columns + [UNASSIGNED] * n
+        columns = np.concatenate([columns, np.full(n, UNASSIGNED)])
     return cost, columns
 
 
@@ -198,10 +201,9 @@ def rank_minimizing(market: Market, seed: int) -> Allocation:
     row_perm = rng.permutation(cost.shape[0])
     col_perm = rng.permutation(cost.shape[1])
     result = min_cost_assignment(cost[np.ix_(row_perm, col_perm)])
-    assignment = [UNASSIGNED] * market.n_students
-    for i, j in enumerate(result.col_of_row):
-        assignment[int(row_perm[i])] = columns[int(col_perm[j])]
-    return Allocation(tuple(assignment))
+    assignment = np.empty(market.n_students, dtype=np.int64)
+    assignment[row_perm] = columns[col_perm[list(result.col_of_row)]]
+    return Allocation(tuple(assignment.tolist()))
 
 
 #: Mechanism name -> callable(market, seed).  DA and TTC ignore the seed.

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from schoolmatch.market import Allocation, Market, load_market, rank_of
+from schoolmatch.market import Allocation, Market, effective_ranks, load_market
 from schoolmatch.mechanisms import MECHANISMS, rank_minimizing, run_mechanism
 from schoolmatch.metrics import RankStats, rank_stats, threshold_shares
 
@@ -81,11 +81,7 @@ def generate_uniform_market(n: int, seed: int) -> Market:
     base = np.tile(np.arange(n), (n, 1))
     prefs = rng.permuted(base, axis=1)
     priorities = rng.permuted(base, axis=1)
-    return Market(
-        capacities=(1,) * n,
-        prefs=tuple(map(tuple, prefs.tolist())),
-        priorities=tuple(map(tuple, priorities.tolist())),
-    )
+    return Market(capacities=(1,) * n, prefs=prefs, priorities=priorities)
 
 
 MANIPULATION_KINDS = ("drop_assigned", "drop_first")
@@ -128,34 +124,23 @@ def apply_manipulation(
     uniformly from the eligible; everyone else's list is untouched.
     """
     manipulation = Manipulation(kind, share)  # validates kind and share
-    eligible = []
-    for t, s in enumerate(baseline.assignment):
-        realized = rank_of(market, t, s)
-        assigned = s >= 0
-        if kind == "drop_assigned":
-            if not (assigned and realized == 1):
-                eligible.append(t)
-        else:
-            if not (assigned and realized <= 2):
-                eligible.append(t)
+    a = baseline.as_array()
+    ranks = effective_ranks(market, baseline)
+    eligible = np.nonzero((a < 0) | (ranks > (1 if kind == "drop_assigned" else 2)))[0]
     count = int(math.floor(manipulation.share * len(eligible) + 0.5))
     if count == 0:
         return market
     rng = np.random.default_rng(seed)
-    chosen = set(
-        int(i) for i in rng.choice(len(eligible), size=count, replace=False)
-    )
-    new_prefs = list(market.prefs)
-    for idx in chosen:
-        t = eligible[idx]
-        plist = market.prefs[t]
-        if kind == "drop_assigned":
-            s = baseline.assignment[t]
-            if s >= 0:
-                new_prefs[t] = tuple(x for x in plist if x != s) + (s,)
-        else:
-            new_prefs[t] = plist[1:] + plist[:1]
-    return replace(market, prefs=tuple(new_prefs))
+    prefs = market.pref_array.copy()
+    for t in eligible[rng.choice(len(eligible), size=count, replace=False)].tolist():
+        if kind == "drop_assigned" and a[t] < 0:
+            continue  # unassigned: no assigned school to move
+        # the moved school goes to the end; the schools after it move up
+        start = ranks[t] - 1 if kind == "drop_assigned" else 0
+        tail = prefs[t, start:market.list_lengths[t]]
+        tail[:] = np.roll(tail, -1)
+    prefs.setflags(write=False)
+    return market._replace(pref_array=prefs)
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,15 @@
 """Independent brute-force oracles used by the test suite.
 
-Everything here works by enumeration straight from the definitions and
-never calls the code paths it is used to check.
+Everything here works by enumeration straight from the definitions, or
+by the plain tuple loops the array code replaced, and never calls the
+code paths it is used to check.  ``random_market_lists`` draws the
+inputs for the comparisons.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -104,3 +107,96 @@ def min_cost_by_scan(cost) -> int | float:
         total = sum(c[i, j] for i, j in enumerate(perm))
         best = min(best, total)
     return best
+
+
+def random_market_lists(rng, max_students: int = 12, max_schools: int = 8):
+    """(capacities, prefs, priorities) as nested lists: sizes drawn
+    independently (so over- and undersupplied markets), capacities 1-3,
+    and full, partial or empty preference and priority lists."""
+    n = int(rng.integers(1, max_students + 1))
+    m = int(rng.integers(1, max_schools + 1))
+
+    def lists(count, ids):
+        # a third of the lists are full; the rest any length, empty included
+        return [
+            rng.permutation(ids)[: ids if rng.random() < 1 / 3 else int(rng.integers(0, ids + 1))]
+            .tolist()
+            for _ in range(count)
+        ]
+
+    return rng.integers(1, 4, size=m).tolist(), lists(n, m), lists(m, n)
+
+
+def position_table_by_definition(lists, width: int) -> np.ndarray:
+    """Cell by cell from tuple lists: 1-based position of each id in its
+    row's list, width + 2 where the list leaves it out."""
+    table = np.full((len(lists), width), width + 2, dtype=np.int64)
+    for row, ids in enumerate(lists):
+        for k, x in enumerate(ids):
+            table[row, x] = k + 1
+    return table
+
+
+def validate_market_by_loops(market: Market) -> list[str]:
+    """validate_market as the loops over tuple lists it replaced."""
+    n, m = market.n_students, market.n_schools
+    problems: list[str] = []
+    for s, cap in enumerate(market.capacities):
+        if cap < 1:
+            problems.append(f"school {s}: capacity must be at least 1, got {cap}")
+    for t, plist in enumerate(market.prefs):
+        seen: set[int] = set()
+        for s in plist:
+            if not 0 <= s < m:
+                problems.append(f"student {t}: unknown school id {s}")
+            elif s in seen:
+                problems.append(f"student {t}: duplicate school {s} in preference list")
+            seen.add(s)
+    if len(market.priorities) != m:
+        problems.append(f"priorities cover {len(market.priorities)} schools, expected {m}")
+    for s, plist in enumerate(market.priorities):
+        seen = set()
+        for t in plist:
+            if not 0 <= t < n:
+                problems.append(f"school {s}: unknown student id {t}")
+            elif t in seen:
+                problems.append(f"school {s}: duplicate student {t} in priority list")
+            seen.add(t)
+    if len(market.student_ids) != n:
+        problems.append("student_ids length does not match number of students")
+    elif any(a >= b for a, b in zip(market.student_ids, market.student_ids[1:])):
+        problems.append("student_ids must be strictly increasing")
+    if len(market.school_ids) != m:
+        problems.append("school_ids length does not match number of schools")
+    elif any(a >= b for a, b in zip(market.school_ids, market.school_ids[1:])):
+        problems.append("school_ids must be strictly increasing")
+    return problems
+
+
+def manipulated_prefs_by_tuples(market: Market, baseline: Allocation, kind: str,
+                                share: float, seed: int) -> tuple[tuple[int, ...], ...]:
+    """The preference lists apply_manipulation returns, computed the way
+    its tuple-based version did: a scan of the lists for eligibility, the
+    same draw over the eligible in ascending order, and tuple rewrites."""
+    eligible = []
+    for t, s in enumerate(baseline.assignment):
+        plist = market.prefs[t]
+        realized = plist.index(s) + 1 if s >= 0 else len(plist) + 1
+        if not (s >= 0 and realized <= (1 if kind == "drop_assigned" else 2)):
+            eligible.append(t)
+    count = int(math.floor(share * len(eligible) + 0.5))
+    if count == 0:
+        return market.prefs
+    rng = np.random.default_rng(seed)
+    chosen = set(int(i) for i in rng.choice(len(eligible), size=count, replace=False))
+    new_prefs = list(market.prefs)
+    for idx in chosen:
+        t = eligible[idx]
+        plist = market.prefs[t]
+        if kind == "drop_assigned":
+            s = baseline.assignment[t]
+            if s >= 0:
+                new_prefs[t] = tuple(x for x in plist if x != s) + (s,)
+        else:
+            new_prefs[t] = plist[1:] + plist[:1]
+    return tuple(new_prefs)

@@ -18,6 +18,8 @@ from schoolmatch.market import (
 )
 from schoolmatch.simulate import generate_uniform_market
 
+from oracles import position_table_by_definition, random_market_lists, validate_market_by_loops
+
 
 def market_2x2():
     return Market(
@@ -250,3 +252,80 @@ class TestEffectiveRanks:
             ranks = effective_ranks(m, alloc)
             for t in range(n):
                 assert ranks[t] == rank_of(m, t, alloc.assignment[t])
+
+
+class TestArrayStorage:
+    def random_markets(self, seed, count=100):
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            yield random_market_lists(rng)
+
+    def test_tuple_views_equal_nested_input(self):
+        for caps, prefs, prios in self.random_markets(31):
+            m = Market(capacities=caps, prefs=prefs, priorities=prios)
+            assert m.prefs == tuple(map(tuple, prefs))
+            assert m.priorities == tuple(map(tuple, prios))
+            assert m.capacities == tuple(caps)
+            assert m.list_lengths.tolist() == [len(p) for p in prefs]
+            assert m.priority_lengths.tolist() == [len(p) for p in prios]
+            assert m.pref_array.dtype == m.priority_array.dtype == np.int64
+
+    def test_array_input_equals_nested_input(self):
+        rng = np.random.default_rng(32)
+        for _ in range(50):
+            n, m_schools = (int(x) for x in rng.integers(1, 9, size=2))
+            prefs = np.array([rng.permutation(m_schools) for _ in range(n)], dtype=np.int32)
+            prios = np.array([rng.permutation(n) for _ in range(m_schools)])
+            caps = rng.integers(1, 4, size=m_schools)
+            from_arrays = Market(capacities=caps, prefs=prefs, priorities=prios)
+            nested = Market(capacities=caps.tolist(), prefs=prefs.tolist(), priorities=prios.tolist())
+            assert from_arrays == nested
+            assert hash(from_arrays) == hash(nested)
+            # the market keeps its own copy of the caller's arrays
+            prefs[0] = prefs[0][::-1]
+            assert from_arrays.prefs == nested.prefs
+        assert Market(capacities=(1, 1), prefs=((0, 1),), priorities=((0,), (0,))) != Market(
+            capacities=(1, 1), prefs=((1, 0),), priorities=((0,), (0,))
+        )
+
+    def test_tables_match_definition(self):
+        for caps, prefs, prios in self.random_markets(33):
+            m = Market(capacities=caps, prefs=prefs, priorities=prios)
+            assert np.array_equal(m.rank_table, position_table_by_definition(prefs, len(caps)))
+            assert np.array_equal(
+                m.priority_table, position_table_by_definition(prios, len(prefs))
+            )
+
+    def test_stored_arrays_are_read_only(self):
+        caps, prefs, prios = random_market_lists(np.random.default_rng(34))
+        m = Market(capacities=caps, prefs=prefs, priorities=prios)
+        for name in ("pref_array", "list_lengths", "priority_array", "priority_lengths",
+                     "rank_table", "priority_table"):
+            arr = getattr(m, name)
+            with pytest.raises(ValueError, match="read-only"):
+                arr[(0,) * arr.ndim] = 1
+            with pytest.raises(AttributeError):
+                setattr(m, name, arr.copy())
+        with pytest.raises(AttributeError):
+            m.capacities = ()
+
+    def test_save_load_round_trip(self, tmp_path):
+        for i, (caps, prefs, prios) in enumerate(self.random_markets(35, count=40)):
+            m = Market(capacities=caps, prefs=prefs, priorities=prios)
+            path = tmp_path / f"m{i}.txt"
+            save_market(m, path)
+            assert load_market(path) == m
+
+    def test_validate_matches_loops(self):
+        rng = np.random.default_rng(36)
+        for caps, prefs, prios in self.random_markets(36):
+            # plant unknown and repeated ids at random places
+            for lists, bound in ((prefs, len(caps)), (prios, len(prefs))):
+                for _ in range(int(rng.integers(0, 4))):
+                    row = lists[int(rng.integers(len(lists)))]
+                    bad = int(rng.choice([-1, bound, bound + 5, *row])) if row else -1
+                    row.insert(int(rng.integers(len(row) + 1)), bad)
+            if rng.random() < 0.2:
+                caps[0] = 0
+            m = Market(capacities=caps, prefs=prefs, priorities=prios)
+            assert validate_market(m) == validate_market_by_loops(m)

@@ -12,7 +12,7 @@ from schoolmatch.mechanisms import (
     serial_dictatorship,
     top_trading_cycles,
 )
-from schoolmatch.market import effective_ranks
+from schoolmatch.market import effective_ranks, validate_market
 from schoolmatch.simulate import generate_uniform_market
 
 from oracles import pareto_optimal_by_enumeration, ranks_by_definition, stable_matchings
@@ -265,6 +265,25 @@ class TestCrossMechanismProperties:
         m = Market(capacities=(0, 2), prefs=((0, 1), (0, 1)), priorities=((0, 1), (0, 1)))
         for name in ("DA", "TTC", "RSD", "RM"):
             assert run_mechanism(name, m, 3).assignment == (1, 1), name
+
+    @pytest.mark.parametrize("prefs", [((-1,), (0, 1)), ((0, 2), (0, 1))])
+    def test_out_of_range_school_id_refused(self, prefs):
+        # -1 would otherwise read as the last school, and as UNASSIGNED in RSD
+        m = Market(capacities=(1, 1), prefs=prefs, priorities=((0, 1), (0, 1)))
+        message = f"student 0: unknown school id {prefs[0][-1]}"
+        assert message in validate_market(m)
+        for name in ("DA", "TTC", "RSD", "RM"):
+            with pytest.raises(ValueError, match=message):
+                run_mechanism(name, m, 3)
+
+    @pytest.mark.parametrize("priorities", [((0, -1), (0, 1)), ((0, 2), (0, 1))])
+    def test_out_of_range_student_id_refused(self, priorities):
+        m = Market(capacities=(1, 1), prefs=((0, 1), (0, 1)), priorities=priorities)
+        message = f"school 0: unknown student id {priorities[0][-1]}"
+        assert message in validate_market(m)
+        for name in ("DA", "TTC"):  # RSD and RM never read priorities
+            with pytest.raises(ValueError, match=message):
+                run_mechanism(name, m, 3)
 
     def test_unknown_mechanism(self):
         with pytest.raises(ValueError, match="unknown mechanism"):

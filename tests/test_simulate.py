@@ -6,6 +6,7 @@ from schoolmatch.mechanisms import rank_minimizing
 from schoolmatch.metrics import rank_stats
 from schoolmatch.simulate import (
     CSV_HEADER,
+    MANIPULATION_KINDS,
     ExperimentConfig,
     ExperimentError,
     Manipulation,
@@ -14,6 +15,8 @@ from schoolmatch.simulate import (
     generate_uniform_market,
     run_experiment,
 )
+
+from oracles import manipulated_prefs_by_tuples, random_market_lists
 
 
 class TestDeriveSeed:
@@ -117,6 +120,20 @@ class TestApplyManipulation:
         baseline = Allocation((0, -1))
         out = apply_manipulation(m, baseline, "drop_assigned", 1.0, 0)
         assert out.prefs == m.prefs
+
+    def test_matches_tuple_version(self):
+        rng = np.random.default_rng(41)
+        for _ in range(60):
+            caps, prefs, prios = random_market_lists(rng)
+            m = Market(capacities=caps, prefs=prefs, priorities=prios)
+            baseline = rank_minimizing(m, int(rng.integers(2**32)))
+            for kind in MANIPULATION_KINDS:
+                for share in (0.3, 0.5, 1.0):
+                    seed = int(rng.integers(2**32))
+                    out = apply_manipulation(m, baseline, kind, share, seed)
+                    assert out.prefs == manipulated_prefs_by_tuples(m, baseline, kind, share, seed)
+                    assert out.priorities == m.priorities
+                    assert out.capacities == m.capacities
 
     def test_subset_size_rounds(self):
         m = generate_uniform_market(10, 3)
