@@ -5,11 +5,9 @@ Market files may use arbitrary integer ids; the loader maps them onto
 indices (ascending id order) and keeps the original ids for round-tripping
 and reporting.  All algorithmic code works on indices.
 
-A market stores its preference and priority lists as read-only int64
-arrays, each row padded with -1 to the longest list, plus the list
-lengths.  Mechanisms and metrics read them through ``rank_table`` and
-``priority_table``, whose builds refuse ids out of range.  The tuple
-views ``prefs`` and ``priorities`` are built only when first read.
+A market stores its lists as read-only int64 arrays padded with -1,
+which mechanisms and metrics read directly and through ``rank_table``
+and ``priority_table``; tuple views are built only when first read.
 
 Markets and allocations are immutable after construction and every
 operation here is a pure function, so instances can be shared freely
@@ -78,11 +76,9 @@ def _as_padded(lists) -> tuple[np.ndarray, np.ndarray]:
 def _lookup_table(lists: np.ndarray, lengths: np.ndarray, width: int,
                   owner: str, item: str) -> np.ndarray:
     """(rows, width) read-only table of each id's 1-based position in the
-    row's list; ids the list leaves out get the sentinel width + 2.
-
-    Raises ValueError naming the first row that lists an id outside
-    0..width-1, so no mechanism reads such an id as another index.
-    """
+    row's list, or width + 2 where the list leaves it out.  Raises
+    ValueError naming the first row that lists an id outside 0..width-1,
+    so no mechanism reads such an id as another index."""
     listed = np.arange(lists.shape[1]) < lengths[:, None]
     unknown = np.argwhere(listed & ((lists < 0) | (lists >= width)))
     if unknown.size:
@@ -112,8 +108,9 @@ class Market:
     prefs and priorities may be nested sequences or 2-D integer arrays
     (full lists).  They are stored as ``pref_array``/``list_lengths`` and
     ``priority_array``/``priority_lengths`` (read-only int64, rows padded
-    with -1) and read back as tuples of tuples built on first access.
-    Construction checks nothing: ``validate_market`` reports problems.
+    with -1); ``prefs`` and ``priorities`` are tuple views built on first
+    access.  Construction checks nothing: ``validate_market`` reports
+    problems, and the table builds refuse ids out of range.
     """
 
     capacities: tuple[int, ...]
@@ -146,6 +143,9 @@ class Market:
 
     def __hash__(self) -> int:
         return hash(self._value())
+
+    def __reduce__(self):
+        return Market, self._value()  # copies and unpickled markets are read-only too
 
     @property
     def n_students(self) -> int:

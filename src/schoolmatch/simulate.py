@@ -133,9 +133,8 @@ def apply_manipulation(
     rng = np.random.default_rng(seed)
     prefs = market.pref_array.copy()
     for t in eligible[rng.choice(len(eligible), size=count, replace=False)].tolist():
-        if kind == "drop_assigned" and a[t] < 0:
-            continue  # unassigned: no assigned school to move
-        # the moved school goes to the end; the schools after it move up
+        # the moved school goes to the end and the schools after it move
+        # up; an unassigned student's rank k + 1 leaves nothing to move
         start = ranks[t] - 1 if kind == "drop_assigned" else 0
         tail = prefs[t, start:market.list_lengths[t]]
         tail[:] = np.roll(tail, -1)

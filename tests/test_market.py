@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -298,16 +301,18 @@ class TestArrayStorage:
 
     def test_stored_arrays_are_read_only(self):
         caps, prefs, prios = random_market_lists(np.random.default_rng(34))
-        m = Market(capacities=caps, prefs=prefs, priorities=prios)
-        for name in ("pref_array", "list_lengths", "priority_array", "priority_lengths",
-                     "rank_table", "priority_table"):
-            arr = getattr(m, name)
-            with pytest.raises(ValueError, match="read-only"):
-                arr[(0,) * arr.ndim] = 1
+        original = Market(capacities=caps, prefs=prefs, priorities=prios)
+        for m in (original, pickle.loads(pickle.dumps(original)), copy.deepcopy(original)):
+            assert m == original
+            for name in ("pref_array", "list_lengths", "priority_array", "priority_lengths",
+                         "rank_table", "priority_table"):
+                arr = getattr(m, name)
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[(0,) * arr.ndim] = 1
+                with pytest.raises(AttributeError):
+                    setattr(m, name, arr.copy())
             with pytest.raises(AttributeError):
-                setattr(m, name, arr.copy())
-        with pytest.raises(AttributeError):
-            m.capacities = ()
+                m.capacities = ()
 
     def test_save_load_round_trip(self, tmp_path):
         for i, (caps, prefs, prios) in enumerate(self.random_markets(35, count=40)):
