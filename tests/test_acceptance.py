@@ -12,6 +12,7 @@ rest of the same tables agree closely).  See the failure messages.
 
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +36,8 @@ from schoolmatch.simulate import (
 from schoolmatch.theory import rsd_no_envy_fraction, rsd_rank_probability
 
 from oracles import pareto_optimal_by_enumeration
+
+DATA = Path(__file__).parent / "data"
 
 
 def _criterion(name: str, checks: list[tuple[str, bool, str]]) -> None:
@@ -133,6 +136,25 @@ def test_random_market_table_n500(table_n500):
             ("runtime < 20 min", elapsed < 1200.0, f"{elapsed:.0f}s"),
         ],
     )
+
+
+def _csv_matches_golden(report, name: str) -> tuple[str, bool, str]:
+    golden = (DATA / name).read_bytes()
+    produced = report.to_csv().encode()
+    return (f"to_csv() equals tests/data/{name} byte for byte", produced == golden,
+            f"{len(produced)} bytes vs {len(golden)}")
+
+
+def test_table_n100_csv_golden(table_n100):
+    report, _ = table_n100
+    _criterion("random-market table n=100: CSV golden",
+               [_csv_matches_golden(report, "acceptance_n100.csv")])
+
+
+def test_table_n500_csv_golden(table_n500):
+    report, _ = table_n500
+    _criterion("random-market table n=500: CSV golden",
+               [_csv_matches_golden(report, "acceptance_n500.csv")])
 
 
 def test_threshold_shares_n100(table_n100):
