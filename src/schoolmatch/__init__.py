@@ -24,7 +24,6 @@ from schoolmatch.market import (
 from schoolmatch.assignment import (
     AssignmentResult,
     InfeasibleAssignmentError,
-    brute_force_assignment,
     min_cost_assignment,
 )
 from schoolmatch.mechanisms import (

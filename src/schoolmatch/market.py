@@ -256,11 +256,20 @@ def effective_ranks(market: Market, allocation: Allocation) -> np.ndarray:
 
 def _list_problems(lists: np.ndarray, lengths: np.ndarray, bound: int,
                    owner: str, item: str, list_name: str) -> list[str]:
-    """Unknown and repeated ids, row by row in list order."""
+    """Unknown and repeated ids, row by row in list order.
+
+    Rows are screened at once: a mask finds ids out of range, and a
+    row-wise sort finds repeated ones.  Only the rows it flags are read
+    entry by entry to word the messages."""
+    listed = np.arange(lists.shape[1]) < lengths[:, None]
+    known = listed & (lists >= 0) & (lists < bound)
+    ordered = np.sort(np.where(known, lists, bound), axis=1)  # others sort last
+    repeated = ((ordered[:, 1:] == ordered[:, :-1]) & (ordered[:, 1:] < bound)).any(axis=1)
+    flagged = np.flatnonzero((listed & ~known).any(axis=1) | repeated)
     problems = []
-    for i, (row, k) in enumerate(zip(lists.tolist(), lengths.tolist())):
+    for i in flagged.tolist():
         seen: set[int] = set()
-        for x in row[:k]:
+        for x in lists[i, :lengths[i]].tolist():
             if not 0 <= x < bound:
                 problems.append(f"{owner} {i}: unknown {item} id {x}")
             elif x in seen:

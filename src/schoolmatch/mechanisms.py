@@ -166,24 +166,23 @@ def random_serial_dictatorship(market: Market, seed: int) -> Allocation:
 
 
 def _rank_cost_matrix(market: Market) -> tuple[np.ndarray, np.ndarray]:
-    """Effective-rank cost matrix over unit seats.
+    """Effective-rank costs per school, and the school of each unit seat.
 
-    Columns are school seats (capacity expansion); when some list is
-    partial or seats cannot cover everyone, one "stay unassigned" column
-    per student is appended, costing k+1 for a student ranking k schools.
-    Unranked schools cost inf.  Column j of the result maps to school
-    ``columns[j]`` (UNASSIGNED for the extra columns).
+    The (n, m + 1) table holds each student's rank of each school (inf
+    where unranked) and, in its last column, k+1: the cost of staying
+    unassigned for a student ranking k schools.  Seats follow capacity
+    expansion; when some list is partial or seats cannot cover everyone,
+    one "stay unassigned" seat per student is appended, whose school is
+    UNASSIGNED (-1) and so indexes the table's last column.  The cost
+    matrix over seats is ``table[:, seats]``.
     """
-    n = market.n_students
-    ranks = market.rank_table.astype(np.float64)
-    ranks[ranks > market.list_lengths[:, None]] = np.inf
-    columns = np.repeat(np.arange(market.n_schools), market.capacities)
-    cost = ranks[:, columns]
-    if not market.has_full_lists or market.total_seats < n:
-        unassigned_cost = np.repeat((market.list_lengths + 1.0)[:, None], n, axis=1)
-        cost = np.hstack([cost, unassigned_cost])
-        columns = np.concatenate([columns, np.full(n, UNASSIGNED)])
-    return cost, columns
+    ranks = market.rank_table
+    lengths = market.list_lengths[:, None]
+    table = np.hstack([np.where(ranks <= lengths, ranks, np.inf), lengths + 1.0])
+    seats = np.repeat(np.arange(market.n_schools), market.capacities)
+    if not market.has_full_lists or market.total_seats < market.n_students:
+        seats = np.concatenate([seats, np.full(market.n_students, UNASSIGNED)])
+    return table, seats
 
 
 def rank_minimizing(market: Market, seed: int) -> Allocation:
@@ -196,13 +195,16 @@ def rank_minimizing(market: Market, seed: int) -> Allocation:
     of optima).  The total cost of the underlying matching equals the
     sum of effective ranks, including k+1 for each unassigned student.
     """
-    cost, columns = _rank_cost_matrix(market)
+    table, seats = _rank_cost_matrix(market)
     rng = np.random.default_rng(seed)
-    row_perm = rng.permutation(cost.shape[0])
-    col_perm = rng.permutation(cost.shape[1])
-    result = min_cost_assignment(cost[np.ix_(row_perm, col_perm)])
+    row_perm = rng.permutation(market.n_students)
+    seats = seats[rng.permutation(len(seats))]
+    # One gather from the small table builds the shuffled matrix (take
+    # keeps it row-major); it holds the entries the unshuffled matrix
+    # would, so the solver sees the same numbers.
+    result = min_cost_assignment(table[row_perm].take(seats, axis=1))
     assignment = np.empty(market.n_students, dtype=np.int64)
-    assignment[row_perm] = columns[col_perm[list(result.col_of_row)]]
+    assignment[row_perm] = seats[list(result.col_of_row)]
     return Allocation(tuple(assignment.tolist()))
 
 

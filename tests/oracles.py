@@ -8,13 +8,15 @@ inputs for the comparisons.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 
-from schoolmatch.market import Allocation, Market
+from schoolmatch.assignment import AssignmentResult, InfeasibleAssignmentError
+from schoolmatch.market import UNASSIGNED, Allocation, Market
 
 
 def all_full_allocations(market: Market):
@@ -200,3 +202,163 @@ def manipulated_prefs_by_tuples(market: Market, baseline: Allocation, kind: str,
         else:
             new_prefs[t] = plist[1:] + plist[:1]
     return tuple(new_prefs)
+
+
+# --- Assignment oracles -------------------------------------------------
+#
+# ``brute_force_assignment`` enumerates every injection.  The reference
+# solver and RM below are the layer-scan solver and the two-step
+# cost-matrix build (rank matrix, then an ``np.ix_`` shuffle) that the
+# library used before its one-gather build and NaN-masked layer loop;
+# the differential tests require identical matchings from both.
+
+_BRUTE_FORCE_MAX_ROWS = 8
+_BRUTE_FORCE_MAX_PERMS = 5_000_000
+
+
+def _checked_cost_matrix(cost) -> np.ndarray:
+    c = np.asarray(cost, dtype=np.float64)
+    if c.ndim != 2 or 0 in c.shape:
+        raise ValueError(f"cost matrix must be 2-D and non-empty, got shape {c.shape}")
+    if c.shape[0] > c.shape[1]:
+        raise ValueError(f"more rows than columns: {c.shape[0]} > {c.shape[1]}")
+    if np.isnan(c).any():
+        raise ValueError("cost matrix contains NaN")
+    if (c < 0).any():
+        raise ValueError("cost matrix entries must be nonnegative")
+    return c
+
+
+def _assignment_result(c: np.ndarray, col_of_row: np.ndarray) -> AssignmentResult:
+    matched = c[np.arange(len(col_of_row)), col_of_row]
+    total = matched.sum()
+    finite = c[np.isfinite(c)]
+    if finite.size and np.all(finite == np.round(finite)):
+        total = int(total)
+    else:
+        total = float(total)
+    return AssignmentResult(tuple(int(j) for j in col_of_row), total)
+
+
+@functools.lru_cache(maxsize=64)
+def _injections(n_cols: int, n_rows: int) -> np.ndarray:
+    """All injections of rows into columns, lexicographic, one per row."""
+    perms = np.fromiter(
+        (j for p in itertools.permutations(range(n_cols), n_rows) for j in p),
+        dtype=np.int64,
+    ).reshape(-1, n_rows)
+    perms.setflags(write=False)
+    return perms
+
+
+def brute_force_assignment(cost) -> AssignmentResult:
+    """Exhaustive minimum over all row-to-column injections.
+
+    Guard: at most 8 rows (factorial enumeration).  Deterministic: the
+    lexicographically first optimal injection wins.
+    """
+    c = _checked_cost_matrix(cost)
+    n_rows, n_cols = c.shape
+    if n_rows > _BRUTE_FORCE_MAX_ROWS:
+        raise ValueError(
+            f"brute force limited to {_BRUTE_FORCE_MAX_ROWS} rows, got {n_rows}"
+        )
+    if math.perm(n_cols, n_rows) > _BRUTE_FORCE_MAX_PERMS:
+        raise ValueError(
+            f"brute force would enumerate {math.perm(n_cols, n_rows)} injections"
+        )
+    perms = _injections(n_cols, n_rows)
+    totals = c[np.arange(n_rows)[None, :], perms].sum(axis=1)
+    best = int(np.argmin(totals))
+    if not np.isfinite(totals[best]):
+        for i in range(n_rows):
+            if not np.isfinite(c[i]).any():
+                raise InfeasibleAssignmentError(
+                    f"infeasible row {i}: all costs are infinite"
+                )
+        raise InfeasibleAssignmentError("no injection with finite total cost")
+    return _assignment_result(c, perms[best])
+
+
+def reference_min_cost_assignment(cost) -> AssignmentResult:
+    """The layer-scan solver with a ``done`` mask and ``pred_row`` per row."""
+    c = _checked_cost_matrix(cost)
+    n_rows, n_cols = c.shape
+    dead = ~np.isfinite(c).any(axis=1)
+    if dead.any():
+        raise InfeasibleAssignmentError(
+            f"infeasible row {int(dead.argmax())}: all costs are infinite"
+        )
+    v = np.zeros(n_cols)
+    row_of_col = np.full(n_cols, -1, dtype=np.int64)
+    col_of_row = np.full(n_rows, -1, dtype=np.int64)
+    free = np.ones(n_cols, dtype=bool)
+    for cur_row in range(n_rows):
+        shortest = c[cur_row] - v
+        pred_row = np.full(n_cols, cur_row, dtype=np.int64)
+        done = np.zeros(n_cols, dtype=bool)
+        min_val = shortest.min()
+        layer = shortest == min_val
+        sinks = layer & free
+        while not sinks.any():
+            done |= layer
+            cols = np.flatnonzero(layer)
+            rows = row_of_col[cols]
+            u = c[rows, cols] - v[cols]
+            d = c[rows] - v - u[:, None]
+            reach = d.min(axis=0) + min_val
+            better = (reach < shortest) & ~done
+            shortest[better] = reach[better]
+            pred_row[better] = rows[d[:, better].argmin(axis=0)]
+            min_val = np.where(done, np.inf, shortest).min()
+            if not np.isfinite(min_val):
+                raise InfeasibleAssignmentError(
+                    f"infeasible row {cur_row}: no augmenting path with finite cost"
+                )
+            layer = (shortest == min_val) & ~done
+            sinks = layer & free
+        j = int(sinks.argmax())
+        free[j] = False
+        v[done] += shortest[done] - min_val
+        while True:
+            i = int(pred_row[j])
+            row_of_col[j] = i
+            col_of_row[i], j = j, col_of_row[i]
+            if i == cur_row:
+                break
+    return _assignment_result(c, col_of_row)
+
+
+def reference_rank_cost_matrix(market: Market) -> tuple[np.ndarray, np.ndarray]:
+    """Effective-rank cost matrix over unit seats, built column by column:
+    seat columns, then n "stay unassigned" columns at cost k+1 when some
+    list is partial or seats fall short; the school of each column."""
+    n = market.n_students
+    ranks = market.rank_table.astype(np.float64)
+    ranks[ranks > market.list_lengths[:, None]] = np.inf
+    columns = np.repeat(np.arange(market.n_schools), market.capacities)
+    cost = ranks[:, columns]
+    if not market.has_full_lists or market.total_seats < n:
+        unassigned_cost = np.repeat((market.list_lengths + 1.0)[:, None], n, axis=1)
+        cost = np.hstack([cost, unassigned_cost])
+        columns = np.concatenate([columns, np.full(n, UNASSIGNED)])
+    return cost, columns
+
+
+def reference_shuffled_cost_matrix(market: Market, seed: int):
+    """RM's shuffled cost matrix, the school of each of its columns and
+    the row permutation: the full matrix, then an ``np.ix_`` copy."""
+    cost, columns = reference_rank_cost_matrix(market)
+    rng = np.random.default_rng(seed)
+    row_perm = rng.permutation(cost.shape[0])
+    col_perm = rng.permutation(cost.shape[1])
+    return cost[np.ix_(row_perm, col_perm)], columns[col_perm], row_perm
+
+
+def reference_rank_minimizing(market: Market, seed: int) -> Allocation:
+    """RM through the two-step matrix build and the reference solver."""
+    cost, schools, row_perm = reference_shuffled_cost_matrix(market, seed)
+    result = reference_min_cost_assignment(cost)
+    assignment = np.empty(market.n_students, dtype=np.int64)
+    assignment[row_perm] = schools[list(result.col_of_row)]
+    return Allocation(tuple(assignment.tolist()))

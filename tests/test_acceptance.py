@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from schoolmatch.assignment import brute_force_assignment, min_cost_assignment
+from schoolmatch.assignment import min_cost_assignment
 from schoolmatch.market import Market, effective_ranks
 from schoolmatch.mechanisms import (
     deferred_acceptance,
@@ -35,7 +35,7 @@ from schoolmatch.simulate import (
 )
 from schoolmatch.theory import rsd_no_envy_fraction, rsd_rank_probability
 
-from oracles import pareto_optimal_by_enumeration
+from oracles import brute_force_assignment, pareto_optimal_by_enumeration
 
 DATA = Path(__file__).parent / "data"
 

@@ -1,13 +1,9 @@
 import numpy as np
 import pytest
 
-from schoolmatch.assignment import (
-    InfeasibleAssignmentError,
-    brute_force_assignment,
-    min_cost_assignment,
-)
+from schoolmatch.assignment import InfeasibleAssignmentError, min_cost_assignment
 
-from oracles import min_cost_by_scan
+from oracles import brute_force_assignment, min_cost_by_scan
 
 
 @pytest.mark.parametrize("solve", [min_cost_assignment, brute_force_assignment])
@@ -41,6 +37,15 @@ class TestSharedContract:
     def test_rejects_negative(self, solve):
         with pytest.raises(ValueError):
             solve([[-1, 0], [0, 1]])
+
+    @pytest.mark.parametrize("cost", [[[-np.inf, 1], [1, 2]], [[-np.inf, -np.inf], [1, 2]]])
+    def test_rejects_minus_inf(self, solve, cost):
+        with pytest.raises(ValueError, match="entries must be nonnegative"):
+            solve(cost)
+
+    def test_nan_reported_before_negative(self, solve):
+        with pytest.raises(ValueError, match="contains NaN"):
+            solve([[-1, np.nan], [0, 1]])
 
 
 def test_brute_force_size_guard():

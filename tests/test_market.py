@@ -258,10 +258,10 @@ class TestEffectiveRanks:
 
 
 class TestArrayStorage:
-    def random_markets(self, seed, count=100):
+    def random_markets(self, seed, count=100, **sizes):
         rng = np.random.default_rng(seed)
         for _ in range(count):
-            yield random_market_lists(rng)
+            yield random_market_lists(rng, **sizes)
 
     def test_tuple_views_equal_nested_input(self):
         for caps, prefs, prios in self.random_markets(31):
@@ -323,10 +323,15 @@ class TestArrayStorage:
 
     def test_validate_matches_loops(self):
         rng = np.random.default_rng(36)
-        for caps, prefs, prios in self.random_markets(36):
-            # plant unknown and repeated ids at random places
+        markets = [*self.random_markets(36),
+                   *self.random_markets(37, max_students=40, max_schools=15)]
+        flawed = 0
+        for i, (caps, prefs, prios) in enumerate(markets):
+            # plant unknown and repeated ids at random places; in the
+            # wider markets a row can take several, so ids repeat more
+            # than once and rows hold both kinds
             for lists, bound in ((prefs, len(caps)), (prios, len(prefs))):
-                for _ in range(int(rng.integers(0, 4))):
+                for _ in range(int(rng.integers(0, 4 if i < 100 else 13))):
                     row = lists[int(rng.integers(len(lists)))]
                     bad = int(rng.choice([-1, bound, bound + 5, *row])) if row else -1
                     row.insert(int(rng.integers(len(row) + 1)), bad)
@@ -334,3 +339,5 @@ class TestArrayStorage:
                 caps[0] = 0
             m = Market(capacities=caps, prefs=prefs, priorities=prios)
             assert validate_market(m) == validate_market_by_loops(m)
+            flawed += bool(validate_market(m))
+        assert 100 < flawed < 200  # clean markets are screened too

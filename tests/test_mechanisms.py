@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from schoolmatch.assignment import brute_force_assignment
 from schoolmatch.market import UNASSIGNED, Allocation, Market
 from schoolmatch.mechanisms import (
     _rank_cost_matrix,
@@ -15,7 +14,12 @@ from schoolmatch.mechanisms import (
 from schoolmatch.market import effective_ranks, validate_market
 from schoolmatch.simulate import generate_uniform_market
 
-from oracles import pareto_optimal_by_enumeration, ranks_by_definition, stable_matchings
+from oracles import (
+    brute_force_assignment,
+    pareto_optimal_by_enumeration,
+    ranks_by_definition,
+    stable_matchings,
+)
 
 
 def market_3x3():
@@ -198,7 +202,8 @@ class TestRankMinimizing:
             n = int(rng.integers(1, 8))
             m = generate_uniform_market(n, int(rng.integers(0, 2**32)))
             alloc = rank_minimizing(m, int(rng.integers(0, 2**32)))
-            cost, _ = _rank_cost_matrix(m)
+            table, seats = _rank_cost_matrix(m)
+            cost = table[:, seats]
             assert effective_ranks(m, alloc).sum() == brute_force_assignment(cost).total_cost
 
     def test_partial_lists_use_k_plus_one(self):
