@@ -21,8 +21,8 @@ from schoolmatch.market import (
     UNASSIGNED,
     MarketFormatError,
     UndersuppliedMarketError,
+    effective_ranks,
     load_market,
-    rank_of,
 )
 from schoolmatch.mechanisms import MECHANISMS, run_mechanism
 from schoolmatch.simulate import (
@@ -146,11 +146,10 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     writer.writerow(["mechanism", "student_id", "school_id", "rank"])
     for i, mech in enumerate(mechanisms):
         allocation = run_mechanism(mech, market, derive_seed(seed, i))
-        for t, s in enumerate(allocation.assignment):
+        ranks = effective_ranks(market, allocation).tolist()
+        for t, (s, rank) in enumerate(zip(allocation.assignment, ranks)):
             school = "" if s == UNASSIGNED else str(market.school_ids[s])
-            writer.writerow(
-                [mech, str(market.student_ids[t]), school, str(rank_of(market, t, s))]
-            )
+            writer.writerow([mech, str(market.student_ids[t]), school, str(rank)])
     _emit(out.getvalue(), args.out)
     return 0
 

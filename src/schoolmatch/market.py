@@ -7,7 +7,8 @@ and reporting.  All algorithmic code works on indices.
 
 A market stores its lists as read-only int64 arrays padded with -1,
 which mechanisms and metrics read directly and through ``rank_table``
-and ``priority_table``; tuple views are built only when first read.
+and ``priority_table``, and an allocation one read-only int64 array;
+tuple views of both are built only when first read.
 
 Markets and allocations are immutable after construction and every
 operation here is a pure function, so instances can be shared freely
@@ -73,21 +74,40 @@ def _as_padded(lists) -> tuple[np.ndarray, np.ndarray]:
     return padded, lengths
 
 
-def _lookup_table(lists: np.ndarray, lengths: np.ndarray, width: int,
-                  owner: str, item: str) -> np.ndarray:
-    """(rows, width) read-only table of each id's 1-based position in the
-    row's list, or width + 2 where the list leaves it out.  Raises
-    ValueError naming the first row that lists an id outside 0..width-1,
-    so no mechanism reads such an id as another index."""
-    listed = np.arange(lists.shape[1]) < lengths[:, None]
-    unknown = np.argwhere(listed & ((lists < 0) | (lists >= width)))
-    if unknown.size:
-        row, col = unknown[0]
-        raise ValueError(f"{owner} {row}: unknown {item} id {lists[row, col]}")
-    # The -1 padding lands in a spill column past the last id.
+def _screen(lists: np.ndarray, lengths: np.ndarray, width: int,
+            owner: str, item: str, list_name: str) -> tuple[np.ndarray, list[str]]:
+    """(rows, width) table of each id's 1-based position in the row's
+    list, or width + 2 where the list leaves it out; and the unknown and
+    repeated ids, row by row in list order.  Padding and unknown ids
+    land in a spill column, so a clean list fills one cell per entry and
+    one count of filled cells screens every list.  (A cell holding
+    position width + 2 reads as empty; only a flawed list is that long.)"""
+    cols = lists.shape[1]
+    # negative ids read as huge unsigned ones, so one test finds both kinds
+    ids = np.where(lists.view(np.uint64) < width, lists, width)
     table = np.full((lists.shape[0], width + 1), width + 2, dtype=np.int64)
-    np.put_along_axis(table, lists, np.arange(1, lists.shape[1] + 1)[None, :], axis=1)
+    np.put_along_axis(table, ids, np.arange(1, cols + 1)[None, :], axis=1)
     table = table[:, :width]
+    filled = table != width + 2
+    problems: list[str] = []
+    if np.count_nonzero(filled) == lengths.sum():
+        return table, problems
+    for i in np.flatnonzero(np.count_nonzero(filled, axis=1) < lengths).tolist():
+        seen: set[int] = set()
+        for x in lists[i, :lengths[i]].tolist():
+            if not 0 <= x < width:
+                problems.append(f"{owner} {i}: unknown {item} id {x}")
+            elif x in seen:
+                problems.append(f"{owner} {i}: duplicate {item} {x} in {list_name}")
+            seen.add(x)
+    return table, problems
+
+
+def _lookup_table(*screen_args) -> np.ndarray:
+    """``_screen``'s table, read-only; raises ValueError with its first problem."""
+    table, problems = _screen(*screen_args)
+    if problems:
+        raise ValueError(problems[0])
     table.setflags(write=False)
     return table
 
@@ -110,7 +130,8 @@ class Market:
     ``priority_array``/``priority_lengths`` (read-only int64, rows padded
     with -1); ``prefs`` and ``priorities`` are tuple views built on first
     access.  Construction checks nothing: ``validate_market`` reports
-    problems, and the table builds refuse ids out of range.
+    problems, and the table builds refuse unknown or repeated ids and
+    negative capacities.
     """
 
     capacities: tuple[int, ...]
@@ -190,11 +211,16 @@ class Market:
         """(n, m) 1-based rank of each school for each student.
 
         Unranked schools get the sentinel m + 2, strictly above every
-        effective rank (the worst effective rank is m + 1).  Raises
-        ValueError if a list names a school outside 0..m-1.
+        effective rank (the worst effective rank is m + 1).  Every
+        mechanism builds it, so it raises ValueError for a negative
+        capacity (zero seats are allowed) and for a list naming a school
+        outside 0..m-1, or one twice, in ``validate_market``'s words.
         """
+        for s, cap in enumerate(self.capacities):
+            if cap < 0:
+                raise ValueError(f"school {s}: negative capacity {cap}")
         return _lookup_table(self.pref_array, self.list_lengths, self.n_schools,
-                             "student", "school")
+                             "student", "school", "preference list")
 
     @cached_property
     def priority_table(self) -> np.ndarray:
@@ -202,31 +228,43 @@ class Market:
 
         Students a school does not rank get the sentinel n + 2, strictly
         above the n + 1 cutoff used for vacant seats.  Raises ValueError
-        if a list names a student outside 0..n-1.
+        if a list names a student outside 0..n-1 or one twice.
         """
         return _lookup_table(self.priority_array, self.priority_lengths, self.n_students,
-                             "school", "student")
+                             "school", "student", "priority list")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class Allocation:
-    """Per-student school index, or UNASSIGNED."""
+    """Per-student school index, or UNASSIGNED.
 
-    assignment: tuple[int, ...]
+    Any sequence or array is stored as ``assignment_array``, a read-only
+    int64 copy; ``assignment``, the tuple view through which allocations
+    compare and hash, is built on first access."""
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "assignment", tuple(int(s) for s in self.assignment))
+    assignment_array: np.ndarray
+
+    def __init__(self, assignment) -> None:
+        array = np.array(assignment, dtype=np.int64)
+        array.setflags(write=False)
+        object.__setattr__(self, "assignment_array", array)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Allocation) and self.assignment == other.assignment
+
+    def __hash__(self) -> int:
+        return hash(self.assignment)
+
+    def __reduce__(self):
+        return Allocation, (self.assignment,)  # copies and unpickled ones are read-only too
+
+    @cached_property
+    def assignment(self) -> tuple[int, ...]:
+        return tuple(self.assignment_array.tolist())
 
     @property
     def n_students(self) -> int:
-        return len(self.assignment)
-
-    @property
-    def unassigned_count(self) -> int:
-        return sum(1 for s in self.assignment if s == UNASSIGNED)
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.assignment, dtype=np.int64)
+        return len(self.assignment_array)
 
 
 def rank_of(market: Market, student: int, school: int) -> int:
@@ -247,35 +285,11 @@ def rank_of(market: Market, student: int, school: int) -> int:
 
 def effective_ranks(market: Market, allocation: Allocation) -> np.ndarray:
     """(n,) effective rank per student: realized rank, or k+1 if unassigned."""
-    a = allocation.as_array()
+    a = allocation.assignment_array
     ranks = market.list_lengths + 1
     assigned = np.nonzero(a >= 0)[0]
     ranks[assigned] = market.rank_table[assigned, a[assigned]]
     return ranks
-
-
-def _list_problems(lists: np.ndarray, lengths: np.ndarray, bound: int,
-                   owner: str, item: str, list_name: str) -> list[str]:
-    """Unknown and repeated ids, row by row in list order.
-
-    Rows are screened at once: a mask finds ids out of range, and a
-    row-wise sort finds repeated ones.  Only the rows it flags are read
-    entry by entry to word the messages."""
-    listed = np.arange(lists.shape[1]) < lengths[:, None]
-    known = listed & (lists >= 0) & (lists < bound)
-    ordered = np.sort(np.where(known, lists, bound), axis=1)  # others sort last
-    repeated = ((ordered[:, 1:] == ordered[:, :-1]) & (ordered[:, 1:] < bound)).any(axis=1)
-    flagged = np.flatnonzero((listed & ~known).any(axis=1) | repeated)
-    problems = []
-    for i in flagged.tolist():
-        seen: set[int] = set()
-        for x in lists[i, :lengths[i]].tolist():
-            if not 0 <= x < bound:
-                problems.append(f"{owner} {i}: unknown {item} id {x}")
-            elif x in seen:
-                problems.append(f"{owner} {i}: duplicate {item} {x} in {list_name}")
-            seen.add(x)
-    return problems
 
 
 def validate_market(market: Market) -> list[str]:
@@ -289,12 +303,12 @@ def validate_market(market: Market) -> list[str]:
     for s, cap in enumerate(market.capacities):
         if cap < 1:
             problems.append(f"school {s}: capacity must be at least 1, got {cap}")
-    problems += _list_problems(market.pref_array, market.list_lengths, m,
-                               "student", "school", "preference list")
+    problems += _screen(market.pref_array, market.list_lengths, m,
+                        "student", "school", "preference list")[1]
     if len(market.priority_lengths) != m:
         problems.append(f"priorities cover {len(market.priority_lengths)} schools, expected {m}")
-    problems += _list_problems(market.priority_array, market.priority_lengths, n,
-                               "school", "student", "priority list")
+    problems += _screen(market.priority_array, market.priority_lengths, n,
+                        "school", "student", "priority list")[1]
     for ids, count, name in ((market.student_ids, n, "student"), (market.school_ids, m, "school")):
         if len(ids) != count:
             problems.append(f"{name}_ids length does not match number of {name}s")
@@ -304,30 +318,24 @@ def validate_market(market: Market) -> list[str]:
 
 
 def validate_allocation(market: Market, allocation: Allocation) -> list[str]:
-    """Violations of the allocation invariants against ``market``."""
-    problems: list[str] = []
+    """Violations of the allocation invariants against ``market``, in
+    student order and then school order.  Reads ``rank_table``, so a
+    market whose own lists are flawed raises ValueError."""
     if allocation.n_students != market.n_students:
-        problems.append(
-            f"allocation covers {allocation.n_students} students, "
-            f"market has {market.n_students}"
-        )
-        return problems
-    filled = [0] * market.n_schools
-    for t, s in enumerate(allocation.assignment):
-        if s == UNASSIGNED:
-            continue
-        if not 0 <= s < market.n_schools:
-            problems.append(f"student {t}: unknown school id {s}")
-            continue
-        filled[s] += 1
-        if s not in market.prefs[t]:
-            problems.append(f"student {t}: assigned school {s} they never ranked")
-    for s, count in enumerate(filled):
-        if count > market.capacities[s]:
-            problems.append(
-                f"school {s}: {count} students assigned, capacity {market.capacities[s]}"
-            )
-    return problems
+        return [f"allocation covers {allocation.n_students} students, "
+                f"market has {market.n_students}"]
+    a = allocation.assignment_array
+    m = market.n_schools
+    known = (a >= 0) & (a < m)
+    seated = np.flatnonzero(known)
+    unranked = seated[market.rank_table[seated, a[seated]] > market.list_lengths[seated]]
+    flagged = np.union1d(np.flatnonzero(~known & (a != UNASSIGNED)), unranked).tolist()
+    problems = [f"student {t}: unknown school id {a[t]}" if not known[t]
+                else f"student {t}: assigned school {a[t]} they never ranked" for t in flagged]
+    filled = np.bincount(a[seated], minlength=m).tolist()
+    return problems + [f"school {s}: {count} students assigned, capacity {cap}"
+                       for s, (count, cap) in enumerate(zip(filled, market.capacities))
+                       if count > cap]
 
 
 def balance_capacities(market: Market) -> Market:

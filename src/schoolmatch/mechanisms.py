@@ -28,7 +28,7 @@ __all__ = [
 
 def _checked_prefs(market: Market) -> tuple[memoryview, list[int]]:
     """Preferences as [student, k] -> school and the list lengths, once
-    building ``rank_table`` has refused any school id out of range."""
+    building ``rank_table`` has refused flawed lists and capacities."""
     market.rank_table
     return memoryview(market.pref_array), market.list_lengths.tolist()
 
@@ -73,7 +73,7 @@ def deferred_acceptance(market: Market) -> Allocation:
     for s, waiting in enumerate(held):
         for _, t in waiting:
             assignment[t] = s
-    return Allocation(tuple(assignment))
+    return Allocation(assignment)
 
 
 def top_trading_cycles(market: Market) -> Allocation:
@@ -138,7 +138,7 @@ def top_trading_cycles(market: Market) -> Allocation:
                     removed[ct] = True
                     left -= 1
                 break
-    return Allocation(tuple(assignment))
+    return Allocation(assignment)
 
 
 def serial_dictatorship(market: Market, order) -> Allocation:
@@ -156,7 +156,7 @@ def serial_dictatorship(market: Market, order) -> Allocation:
                 assignment[t] = s
                 seats[s] -= 1
                 break
-    return Allocation(tuple(assignment))
+    return Allocation(assignment)
 
 
 def random_serial_dictatorship(market: Market, seed: int) -> Allocation:
@@ -205,7 +205,7 @@ def rank_minimizing(market: Market, seed: int) -> Allocation:
     result = min_cost_assignment(table[row_perm].take(seats, axis=1))
     assignment = np.empty(market.n_students, dtype=np.int64)
     assignment[row_perm] = seats[list(result.col_of_row)]
-    return Allocation(tuple(assignment.tolist()))
+    return Allocation(assignment)
 
 
 #: Mechanism name -> callable(market, seed).  DA and TTC ignore the seed.

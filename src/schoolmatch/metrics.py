@@ -45,18 +45,16 @@ class RankStats:
 def rank_stats(market: Market, allocation: Allocation) -> RankStats:
     """Compute the RankStats of ``allocation`` under ``market``."""
     eff = effective_ranks(market, allocation)
-    a = allocation.as_array()
+    a = allocation.assignment_array
     assigned = eff[a >= 0]
     values, counts = np.unique(eff, return_counts=True)
     histogram = {int(r): int(c) for r, c in zip(values, counts)}
+    mean = variance = float("nan")
     if assigned.size:
         mean = float(assigned.mean())
         variance = float(assigned.var(ddof=1)) if assigned.size > 1 else 0.0
-    else:
-        mean = float("nan")
-        variance = float("nan")
     n = market.n_students
-    envy_share = len(justified_envy(market, allocation)) / n if n else 0.0
+    envy_share = np.count_nonzero(_envious(market, a, eff)) / n if n else 0.0
     return RankStats(
         mean=mean,
         max=int(eff.max()) if eff.size else 0,
@@ -74,29 +72,28 @@ def justified_envy(market: Market, allocation: Allocation) -> set[int]:
     seat and ranks t.  Students a school does not rank can never have
     justified envy toward it.
     """
-    n, m = market.n_students, market.n_schools
-    if n == 0:
-        return set()
-    ranks = market.rank_table
-    prio = market.priority_table
-    eff = effective_ranks(market, allocation)
-    a = allocation.as_array()
+    envious = _envious(market, allocation.assignment_array, effective_ranks(market, allocation))
+    return set(np.flatnonzero(envious).tolist())
 
+
+def _envious(market: Market, a: np.ndarray, eff: np.ndarray) -> np.ndarray:
+    """(n,) mask of the students with justified envy, given the
+    assignment array ``a`` and its effective ranks ``eff``."""
+    n, m = market.n_students, market.n_schools
+    prio = market.priority_table
     assigned_students = np.nonzero(a >= 0)[0]
     assigned_schools = a[assigned_students]
     # Priority position a challenger must strictly beat, per school:
     # the worst admitted position, or n+1 when a seat is still free
     # (unranked students carry the sentinel n+2 and never qualify).
     cutoff = np.zeros(m, dtype=np.int64)
-    if assigned_students.size:
-        np.maximum.at(cutoff, assigned_schools, prio[assigned_schools, assigned_students])
+    np.maximum.at(cutoff, assigned_schools, prio[assigned_schools, assigned_students])
     filled = np.bincount(assigned_schools, minlength=m)
     cutoff = np.where(filled < np.asarray(market.capacities), n + 1, cutoff)
 
-    prefers = ranks < eff[:, None]
+    prefers = market.rank_table < eff[:, None]
     claims = prio.T < cutoff[None, :]
-    envious = np.nonzero((prefers & claims).any(axis=1))[0]
-    return set(int(t) for t in envious)
+    return (prefers & claims).any(axis=1)
 
 
 @dataclass(frozen=True)
@@ -123,7 +120,7 @@ def is_pareto_optimal(market: Market, allocation: Allocation) -> ParetoCheck:
         raise ValueError("requires full lists")
     if not market.is_balanced:
         raise ValueError("requires a balanced market")
-    a = allocation.as_array()
+    a = allocation.assignment_array
     if (a < 0).any():
         raise ValueError("requires a fully assigned allocation")
     n = market.n_students
@@ -138,28 +135,23 @@ def is_pareto_optimal(market: Market, allocation: Allocation) -> ParetoCheck:
             continue
         stack = [(start, iter(np.nonzero(improves[start])[0]))]
         color[start] = 1
-        path = [start]
         while stack:
             node, targets = stack[-1]
-            advanced = False
             for t2 in targets:
                 t2 = int(t2)
                 if color[t2] == 1:
+                    path = [t for t, _ in stack]
                     cycle = path[path.index(t2):]
-                    new_assignment = list(allocation.assignment)
-                    for i, t in enumerate(cycle):
-                        new_assignment[t] = int(a[cycle[(i + 1) % len(cycle)]])
-                    return ParetoCheck(False, Allocation(tuple(new_assignment)))
+                    rotated = a.copy()
+                    rotated[cycle] = a[np.roll(cycle, -1)]
+                    return ParetoCheck(False, Allocation(rotated))
                 if color[t2] == 0:
                     color[t2] = 1
                     stack.append((t2, iter(np.nonzero(improves[t2])[0])))
-                    path.append(t2)
-                    advanced = True
                     break
-            if not advanced:
+            else:
                 color[node] = 2
                 stack.pop()
-                path.pop()
     return ParetoCheck(True)
 
 

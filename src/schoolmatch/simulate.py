@@ -124,7 +124,7 @@ def apply_manipulation(
     uniformly from the eligible; everyone else's list is untouched.
     """
     manipulation = Manipulation(kind, share)  # validates kind and share
-    a = baseline.as_array()
+    a = baseline.assignment_array
     ranks = effective_ranks(market, baseline)
     eligible = np.nonzero((a < 0) | (ranks > (1 if kind == "drop_assigned" else 2)))[0]
     count = int(math.floor(manipulation.share * len(eligible) + 0.5))

@@ -175,6 +175,33 @@ def validate_market_by_loops(market: Market) -> list[str]:
     return problems
 
 
+def validate_allocation_by_loops(market: Market, allocation: Allocation) -> list[str]:
+    """validate_allocation as the loop over tuple lists it replaced."""
+    problems: list[str] = []
+    if allocation.n_students != market.n_students:
+        problems.append(
+            f"allocation covers {allocation.n_students} students, "
+            f"market has {market.n_students}"
+        )
+        return problems
+    filled = [0] * market.n_schools
+    for t, s in enumerate(allocation.assignment):
+        if s == UNASSIGNED:
+            continue
+        if not 0 <= s < market.n_schools:
+            problems.append(f"student {t}: unknown school id {s}")
+            continue
+        filled[s] += 1
+        if s not in market.prefs[t]:
+            problems.append(f"student {t}: assigned school {s} they never ranked")
+    for s, count in enumerate(filled):
+        if count > market.capacities[s]:
+            problems.append(
+                f"school {s}: {count} students assigned, capacity {market.capacities[s]}"
+            )
+    return problems
+
+
 def manipulated_prefs_by_tuples(market: Market, baseline: Allocation, kind: str,
                                 share: float, seed: int) -> tuple[tuple[int, ...], ...]:
     """The preference lists apply_manipulation returns, computed the way

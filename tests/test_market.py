@@ -21,7 +21,12 @@ from schoolmatch.market import (
 )
 from schoolmatch.simulate import generate_uniform_market
 
-from oracles import position_table_by_definition, random_market_lists, validate_market_by_loops
+from oracles import (
+    position_table_by_definition,
+    random_market_lists,
+    validate_allocation_by_loops,
+    validate_market_by_loops,
+)
 
 
 def market_2x2():
@@ -341,3 +346,50 @@ class TestArrayStorage:
             assert validate_market(m) == validate_market_by_loops(m)
             flawed += bool(validate_market(m))
         assert 100 < flawed < 200  # clean markets are screened too
+
+    def test_allocation_storage(self):
+        rng = np.random.default_rng(38)
+        for _ in range(50):
+            given = rng.integers(-1, 6, size=int(rng.integers(1, 10)))
+            expected = tuple(given.tolist())
+            for source in (expected, list(expected), given, given.astype(np.int32)):
+                original = Allocation(source)
+                # the allocation keeps its own copy of the caller's array
+                given[0] += 1
+                assert original.assignment == expected
+                given[0] -= 1
+                for alloc in (original, pickle.loads(pickle.dumps(original)),
+                              copy.deepcopy(original)):
+                    arr = alloc.assignment_array
+                    assert arr.dtype == np.int64 and arr.tolist() == list(expected)
+                    with pytest.raises(ValueError, match="read-only"):
+                        arr[0] = 1
+                    with pytest.raises(AttributeError):
+                        alloc.assignment_array = arr.copy()
+                    assert alloc.assignment == expected
+                    assert all(type(s) is int for s in alloc.assignment)
+                    assert alloc == Allocation(expected) and hash(alloc) == hash(expected)
+                    assert alloc.n_students == len(expected)
+            assert Allocation(expected) != Allocation((*expected, UNASSIGNED))
+            assert Allocation(expected) != expected
+
+    def test_validate_allocation_matches_loop(self):
+        rng = np.random.default_rng(39)
+        kinds = dict.fromkeys(
+            ("unknown school id", "never ranked", "students assigned", "allocation covers"), 0
+        )
+        for caps, prefs, prios in self.random_markets(39, count=300):
+            m = Market(capacities=caps, prefs=prefs, priorities=prios)
+            # listed schools, crowded onto few seats, with planted unknown
+            # ids, unranked schools and unassigned students between them
+            assignment = [
+                int(rng.choice(p)) if p and rng.random() < 0.7
+                else int(rng.integers(-3, len(caps) + 3))
+                for p in prefs
+            ]
+            for alloc in (Allocation(assignment), Allocation(assignment[1:])):
+                problems = validate_allocation(m, alloc)
+                assert problems == validate_allocation_by_loops(m, alloc)
+                for kind in kinds:
+                    kinds[kind] += any(kind in p for p in problems)
+        assert all(count > 10 for count in kinds.values()), kinds

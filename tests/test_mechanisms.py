@@ -271,23 +271,37 @@ class TestCrossMechanismProperties:
         for name in ("DA", "TTC", "RSD", "RM"):
             assert run_mechanism(name, m, 3).assignment == (1, 1), name
 
-    @pytest.mark.parametrize("prefs", [((-1,), (0, 1)), ((0, 2), (0, 1))])
+    # A repeated id is refused too: the scatter into the rank table would
+    # keep its last position, rank 2 for student 0's first choice.
+    @pytest.mark.parametrize("prefs", [((-1,), (0, 1)), ((0, 2), (0, 1)), ((0, 0), (0, 1))])
     def test_out_of_range_school_id_refused(self, prefs):
         # -1 would otherwise read as the last school, and as UNASSIGNED in RSD
         m = Market(capacities=(1, 1), prefs=prefs, priorities=((0, 1), (0, 1)))
-        message = f"student 0: unknown school id {prefs[0][-1]}"
+        bad = prefs[0][-1]
+        message = (f"student 0: duplicate school {bad} in preference list" if bad in prefs[0][:-1]
+                   else f"student 0: unknown school id {bad}")
         assert message in validate_market(m)
         for name in ("DA", "TTC", "RSD", "RM"):
             with pytest.raises(ValueError, match=message):
                 run_mechanism(name, m, 3)
 
-    @pytest.mark.parametrize("priorities", [((0, -1), (0, 1)), ((0, 2), (0, 1))])
+    @pytest.mark.parametrize("priorities",
+                             [((0, -1), (0, 1)), ((0, 2), (0, 1)), ((0, 0), (0, 1))])
     def test_out_of_range_student_id_refused(self, priorities):
         m = Market(capacities=(1, 1), prefs=((0, 1), (0, 1)), priorities=priorities)
-        message = f"school 0: unknown student id {priorities[0][-1]}"
+        bad = priorities[0][-1]
+        message = (f"school 0: duplicate student {bad} in priority list" if bad in priorities[0][:-1]
+                   else f"school 0: unknown student id {bad}")
         assert message in validate_market(m)
         for name in ("DA", "TTC"):  # RSD and RM never read priorities
             with pytest.raises(ValueError, match=message):
+                run_mechanism(name, m, 3)
+
+    def test_negative_capacity_refused(self):
+        m = Market(capacities=(-1, 2), prefs=((0, 1), (0, 1)), priorities=((0, 1), (0, 1)))
+        assert "school 0: capacity must be at least 1, got -1" in validate_market(m)
+        for name in ("DA", "TTC", "RSD", "RM"):
+            with pytest.raises(ValueError, match="school 0: negative capacity -1"):
                 run_mechanism(name, m, 3)
 
     def test_unknown_mechanism(self):

@@ -279,5 +279,5 @@ class TestPartialListPipeline:
                 from schoolmatch.market import effective_ranks
 
                 eff = effective_ranks(m, alloc)
-                manual = eff[alloc.as_array() >= 0].mean()
+                manual = eff[alloc.assignment_array >= 0].mean()
                 assert stats.mean == pytest.approx(manual)
