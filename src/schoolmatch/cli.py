@@ -6,7 +6,9 @@ Subcommands:
   manipulate  strategic-reporting experiment across shares -> CSV
   oracle      closed-form reference values -> CSV
 
-Exit codes: 0 success, 2 validation/usage error, 1 runtime error.
+Exit codes: 0 success; 2 usage or validation error (a bad flag or
+--config value, an unknown config key, an invalid market file); 1 a
+replication that failed at run time.
 """
 
 from __future__ import annotations
@@ -65,18 +67,6 @@ def _read_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def _merge_config(args: argparse.Namespace, converters: dict) -> None:
-    """Fill argparse values that were left at None from the --config file."""
-    if not getattr(args, "config", None):
-        return
-    raw = _read_config_file(args.config)
-    for key, value in raw.items():
-        if key not in converters:
-            raise ValueError(f"unknown config key {key!r}")
-        if getattr(args, key, None) is None:
-            setattr(args, key, converters[key](value))
-
-
 def _emit(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text, encoding="utf-8")
@@ -85,20 +75,11 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    converters = {
-        "n": int,
-        "reps": int,
-        "seed": int,
-        "mechanisms": _mechanism_list,
-        "thresholds": _float_list,
-        "market": str,
-    }
-    _merge_config(args, converters)
     config = ExperimentConfig(
-        n=args.n if args.n is not None else 100,
-        replications=args.reps if args.reps is not None else 1000,
-        master_seed=args.seed if args.seed is not None else 0,
-        mechanisms=args.mechanisms if args.mechanisms is not None else ("RM", "TTC", "DA"),
+        n=args.n,
+        replications=args.reps,
+        master_seed=args.seed,
+        mechanisms=args.mechanisms,
         thresholds=args.thresholds,
         market_path=args.market,
     )
@@ -107,29 +88,21 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_manipulate(args: argparse.Namespace) -> int:
-    converters = {
-        "n": int,
-        "reps": int,
-        "seed": int,
-        "mechanisms": _mechanism_list,
-        "kind": str,
-        "shares": _float_list,
-    }
-    _merge_config(args, converters)
-    kind = args.kind if args.kind is not None else "drop_assigned"
-    if kind not in MANIPULATION_KINDS:
-        raise ValueError(f"unknown manipulation kind {kind!r}; choose from {MANIPULATION_KINDS}")
-    shares = args.shares if args.shares is not None else (0.0, 0.2, 0.4, 0.6, 0.8)
-    n = args.n if args.n is not None else 100
+    # a config file's kind= is not checked against argparse's choices
+    if args.kind not in MANIPULATION_KINDS:
+        raise ValueError(
+            f"unknown manipulation kind {args.kind!r}; choose from {MANIPULATION_KINDS}"
+        )
+    # every share is checked before the first experiment runs
+    manipulations = [Manipulation(args.kind, share) for share in args.shares]
     blocks = []
-    for i, share in enumerate(shares):
+    for i, manipulation in enumerate(manipulations):
         config = ExperimentConfig(
-            n=n,
-            replications=args.reps if args.reps is not None else 100,
-            master_seed=args.seed if args.seed is not None else 0,
-            mechanisms=args.mechanisms if args.mechanisms is not None else ("RM", "TTC", "DA"),
-            thresholds=(),
-            manipulation=Manipulation(kind, share),
+            n=args.n,
+            replications=args.reps,
+            master_seed=args.seed,
+            mechanisms=args.mechanisms,
+            manipulation=manipulation,
         )
         text = run_experiment(config).to_csv()
         blocks.append(text if i == 0 else text.split("\n", 1)[1])
@@ -139,13 +112,11 @@ def _cmd_manipulate(args: argparse.Namespace) -> int:
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     market = load_market(args.market)
-    mechanisms = args.mechanisms if args.mechanisms is not None else ("DA",)
-    seed = args.seed if args.seed is not None else 0
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["mechanism", "student_id", "school_id", "rank"])
-    for i, mech in enumerate(mechanisms):
-        allocation = run_mechanism(mech, market, derive_seed(seed, i))
+    for i, mech in enumerate(args.mechanisms):
+        allocation = run_mechanism(mech, market, derive_seed(args.seed, i))
         ranks = effective_ranks(market, allocation).tolist()
         for t, (s, rank) in enumerate(zip(allocation.assignment, ranks)):
             school = "" if s == UNASSIGNED else str(market.school_ids[s])
@@ -179,29 +150,28 @@ def _oracle_rows(check: str, n: int):
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    n = args.n if args.n is not None else 1000
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["check", "n", "value", "source"])
-    for check, size, value, source in _oracle_rows(args.check, n):
+    for check, size, value, source in _oracle_rows(args.check, args.n):
         writer.writerow([check, str(size), format(value, ".10g"), source])
     _emit(out.getvalue(), args.out)
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction]:
     parser = argparse.ArgumentParser(
         prog="schoolmatch",
         description="School-choice mechanism laboratory: simulations, metrics and oracles.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    commands = parser.add_subparsers(dest="command", required=True)
 
-    sim = sub.add_parser("simulate", help="replication experiment on random markets")
-    sim.add_argument("--n", type=int, default=None, help="market size (default 100)")
-    sim.add_argument("--reps", type=int, default=None, help="replications (default 1000)")
-    sim.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
-    sim.add_argument("--mechanisms", type=_mechanism_list, default=None,
-                     help="comma list from DA,TTC,RSD,RM (default RM,TTC,DA)")
+    sim = commands.add_parser("simulate", help="replication experiment on random markets")
+    sim.add_argument("--n", type=int, default=100, help="market size (default %(default)s)")
+    sim.add_argument("--reps", type=int, default=1000, help="replications (default %(default)s)")
+    sim.add_argument("--seed", type=int, default=0, help="master seed (default %(default)s)")
+    sim.add_argument("--mechanisms", type=_mechanism_list, default="RM,TTC,DA",
+                     help="comma list from DA,TTC,RSD,RM (default %(default)s)")
     sim.add_argument("--thresholds", type=_float_list, default=None,
                      help="rank cutoffs (default 1,2,log n,0.1n,0.25n,0.5n for the "
                           "market's n students)")
@@ -210,38 +180,50 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--out", default=None, help="write CSV here instead of stdout")
     sim.set_defaults(func=_cmd_simulate)
 
-    man = sub.add_parser("manipulate", help="strategic-reporting experiment across shares")
-    man.add_argument("--kind", choices=MANIPULATION_KINDS, default=None)
-    man.add_argument("--shares", type=_float_list, default=None,
-                     help="comma list of shares (default 0,0.2,0.4,0.6,0.8)")
-    man.add_argument("--n", type=int, default=None)
-    man.add_argument("--reps", type=int, default=None, help="replications (default 100)")
-    man.add_argument("--seed", type=int, default=None)
-    man.add_argument("--mechanisms", type=_mechanism_list, default=None)
+    man = commands.add_parser("manipulate", help="strategic-reporting experiment across shares")
+    man.add_argument("--kind", choices=MANIPULATION_KINDS, default="drop_assigned",
+                     help="manipulation (default %(default)s)")
+    man.add_argument("--shares", type=_float_list, default="0,0.2,0.4,0.6,0.8",
+                     help="comma list of shares (default %(default)s)")
+    man.add_argument("--n", type=int, default=100, help="market size (default %(default)s)")
+    man.add_argument("--reps", type=int, default=100, help="replications (default %(default)s)")
+    man.add_argument("--seed", type=int, default=0, help="master seed (default %(default)s)")
+    man.add_argument("--mechanisms", type=_mechanism_list, default="RM,TTC,DA",
+                     help="comma list from DA,TTC,RSD,RM (default %(default)s)")
     man.add_argument("--config", default=None, help="key=value file with defaults for the flags")
     man.add_argument("--out", default=None)
     man.set_defaults(func=_cmd_manipulate)
 
-    ev = sub.add_parser("evaluate", help="run mechanisms on a market file")
+    ev = commands.add_parser("evaluate", help="run mechanisms on a market file")
     ev.add_argument("--market", required=True, help="market file path")
-    ev.add_argument("--mechanisms", type=_mechanism_list, default=None, help="default DA")
-    ev.add_argument("--seed", type=int, default=None)
+    ev.add_argument("--mechanisms", type=_mechanism_list, default="DA", help="default %(default)s")
+    ev.add_argument("--seed", type=int, default=0, help="master seed (default %(default)s)")
     ev.add_argument("--out", default=None)
     ev.set_defaults(func=_cmd_evaluate)
 
-    orc = sub.add_parser("oracle", help="closed-form reference values")
+    orc = commands.add_parser("oracle", help="closed-form reference values")
     orc.add_argument("--check", required=True,
                      help="rsd_envy | rm_envy | rm_pmf | ttc_avg_rank | curves")
-    orc.add_argument("--n", type=int, default=None, help="size argument (default 1000)")
+    orc.add_argument("--n", type=int, default=1000, help="size argument (default %(default)s)")
     orc.add_argument("--out", default=None)
     orc.set_defaults(func=_cmd_oracle)
-    return parser
+    return parser, commands
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()  # fresh per call: config defaults must not leak
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "config", None):
+            # argparse parses a string default with its flag's type; given flags win
+            sub = commands.choices[args.command]
+            keys = vars(sub.parse_args([])).keys() - {"config", "out", "func"}
+            values = _read_config_file(args.config)
+            for key in values:
+                if key not in keys:
+                    raise ValueError(f"unknown config key {key!r}")
+            sub.set_defaults(**values)
+            args = parser.parse_args(argv)
         return args.func(args)
     except (ValueError, MarketFormatError, UndersuppliedMarketError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -181,22 +181,10 @@ class ExperimentConfig:
             raise ValueError("nothing to run: no mechanisms and no manipulation")
 
 
-@dataclass
-class _Accumulator:
-    means: list[float] = field(default_factory=list)
-    maxes: list[float] = field(default_factory=list)
-    variances: list[float] = field(default_factory=list)
-    envy_shares: list[float] = field(default_factory=list)
-    unassigned: list[float] = field(default_factory=list)
-    shares: list[list[float]] = field(default_factory=list)
-
-    def add(self, stats: RankStats, cutoffs: tuple[float, ...]) -> None:
-        self.means.append(stats.mean)
-        self.maxes.append(float(stats.max))
-        self.variances.append(stats.variance)
-        self.envy_shares.append(stats.envy_share)
-        self.unassigned.append(float(stats.unassigned_count))
-        self.shares.append(threshold_shares(stats, cutoffs))
+def _row(stats: RankStats, cutoffs: tuple[float, ...]) -> list[float]:
+    """One replication's values, in the column order ``_summarize`` reads."""
+    return [stats.mean, stats.max, stats.variance, stats.envy_share,
+            stats.unassigned_count, *threshold_shares(stats, cutoffs)]
 
 
 def _se(values: np.ndarray) -> float:
@@ -271,13 +259,9 @@ class ExperimentReport:
         return out.getvalue()
 
 
-def _summarize(label: str, acc: _Accumulator) -> MechanismSummary:
-    means = np.asarray(acc.means)
-    maxes = np.asarray(acc.maxes)
-    variances = np.asarray(acc.variances)
-    envy = np.asarray(acc.envy_shares)
-    unassigned = np.asarray(acc.unassigned)
-    shares = np.asarray(acc.shares) if acc.shares else np.zeros((len(acc.means), 0))
+def _summarize(label: str, rows: list[list[float]]) -> MechanismSummary:
+    per_rep = np.array(rows, dtype=np.float64)
+    means, maxes, variances, envy, unassigned = per_rep[:, :5].T.copy()
     return MechanismSummary(
         label=label,
         mean=float(means.mean()),
@@ -287,7 +271,7 @@ def _summarize(label: str, acc: _Accumulator) -> MechanismSummary:
         variance=float(variances.mean()),
         envy_share=float(envy.mean()),
         unassigned=float(unassigned.mean()),
-        threshold_share=tuple(float(x) for x in shares.mean(axis=0)),
+        threshold_share=tuple(float(x) for x in per_rep[:, 5:].mean(axis=0)),
         per_rep_mean=means,
         per_rep_max=maxes,
         per_rep_variance=variances,
@@ -314,10 +298,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     if config.thresholds is None:
         config = replace(config, thresholds=_default_thresholds(n_market))
     cutoffs = config.thresholds
-    accs: dict[str, _Accumulator] = {m: _Accumulator() for m in config.mechanisms}
-    manip_label = config.manipulation.label if config.manipulation else None
-    if manip_label:
-        accs[manip_label] = _Accumulator()
+    rows: dict[str, list[list[float]]] = {m: [] for m in config.mechanisms}
+    if config.manipulation is not None:
+        rows[config.manipulation.label] = []
 
     for r in range(config.replications):
         try:
@@ -332,7 +315,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                     alloc = rm_alloc = rank_minimizing(market, rm_seed)
                 else:
                     alloc = run_mechanism(mech, market, rsd_seed)
-                accs[mech].add(rank_stats(market, alloc), cutoffs)
+                rows[mech].append(_row(rank_stats(market, alloc), cutoffs))
             if config.manipulation is not None:
                 if rm_alloc is None:
                     rm_alloc = rank_minimizing(market, rm_seed)
@@ -344,9 +327,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                     derive_seed(config.master_seed, r, _TAG_MANIPULATION),
                 )
                 re_run = rank_minimizing(manipulated, rm_seed)
-                accs[manip_label].add(rank_stats(market, re_run), cutoffs)
+                rows[config.manipulation.label].append(_row(rank_stats(market, re_run), cutoffs))
         except Exception as exc:
             raise ExperimentError(f"replication {r}: {exc}") from exc
 
-    summaries = {label: _summarize(label, acc) for label, acc in accs.items()}
+    summaries = {label: _summarize(label, r) for label, r in rows.items()}
     return ExperimentReport(config=config, n=n_market, summaries=summaries)

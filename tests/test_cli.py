@@ -57,12 +57,22 @@ def test_simulate_config_file(tmp_path, capsys):
     assert all(line.startswith("RM,10,2,") for line in out.strip().split("\n")[1:])
 
 
-def test_simulate_bad_config_key(tmp_path, capsys):
+@pytest.mark.parametrize("line, message", [
+    pytest.param("bogus=1", "unknown config key 'bogus'", id="unknown_key"),
+    pytest.param("mechanisms=BOSTON", "argument --mechanisms: unknown mechanisms ['BOSTON']",
+                 id="bad_mechanism"),
+    pytest.param("n=abc", "argument --n: invalid int value: 'abc'", id="bad_int"),
+])
+def test_simulate_bad_config_key(tmp_path, capsys, line, message):
+    # a bad value is refused by its flag's type, as the same flag would be
     cfg = tmp_path / "exp.cfg"
-    cfg.write_text("bogus=1\n")
-    code, _, err = run_cli(capsys, "simulate", "--config", str(cfg))
+    cfg.write_text(line + "\n")
+    try:
+        code = main(["simulate", "--config", str(cfg)])
+    except SystemExit as exc:  # argparse's usage error
+        code = exc.code
     assert code == 2
-    assert "bogus" in err
+    assert message in capsys.readouterr().err
 
 
 def test_evaluate_per_student_ranks(tmp_path, capsys):
@@ -120,6 +130,24 @@ def test_manipulate_blocks_per_share(capsys):
     assert lines[0] == CSV_HEADER
     labels = [line.split(",")[0] for line in lines[1:]]
     assert labels == ["RM", "RM[drop_first=0]", "RM", "RM[drop_first=0.4]"]
+
+
+@pytest.mark.parametrize("config, argv, message", [
+    pytest.param(None, ["--shares", "0,1.5"], "share must lie in [0, 1], got 1.5", id="bad_share"),
+    # a config kind= skips argparse's choices; an empty --shares builds no Manipulation
+    pytest.param("kind=bogus\n", ["--shares", ""], "unknown manipulation kind 'bogus'",
+                 id="bad_config_kind"),
+])
+def test_manipulate_refuses_before_running(tmp_path, capsys, monkeypatch, config, argv, message):
+    calls = []
+    monkeypatch.setattr("schoolmatch.cli.run_experiment", calls.append)
+    if config:
+        (tmp_path / "exp.cfg").write_text(config)
+        argv = argv + ["--config", str(tmp_path / "exp.cfg")]
+    code, out, err = run_cli(capsys, "manipulate", "--n", "300", "--reps", "20", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {message}")
+    assert calls == []
 
 
 def test_oracle_rsd_envy(capsys):

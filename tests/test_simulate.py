@@ -154,16 +154,22 @@ class TestApplyManipulation:
 
 
 class TestRunExperiment:
-    def test_report_structure(self):
+    @pytest.mark.parametrize("thresholds", [(1.0,), ()], ids=["one_cutoff", "no_cutoffs"])
+    def test_report_structure(self, thresholds):
         config = ExperimentConfig(
-            n=10, replications=15, master_seed=1, mechanisms=("RM", "DA"), thresholds=(1.0,)
+            n=10, replications=15, master_seed=1, mechanisms=("RM", "DA"), thresholds=thresholds
         )
         report = run_experiment(config)
         assert set(report.summaries) == {"RM", "DA"}
         for s in report.summaries.values():
-            assert len(s.per_rep_mean) == 15
             assert s.se_mean >= 0.0
-            assert len(s.threshold_share) == 1
+            assert isinstance(s.threshold_share, tuple)
+            assert len(s.threshold_share) == len(thresholds)
+            for values in (s.per_rep_mean, s.per_rep_max, s.per_rep_variance,
+                           s.per_rep_envy_share, s.per_rep_unassigned):
+                assert values.dtype == np.float64
+                assert values.flags.c_contiguous
+                assert values.shape == (15,)
 
     def test_csv_shape_and_header(self):
         config = ExperimentConfig(
