@@ -4,16 +4,23 @@ The solver augments one row at a time along a shortest path in the
 reduced-cost graph, maintaining dual potentials so edge weights stay
 nonnegative (Jonker-Volgenant style successive shortest paths).  Worst
 case O(rows * cols^2).  Rank costs are small integers, so many columns
-tie at each distance.  A row whose nearest columns include a free one
-takes the lowest-index such column without a search.  Otherwise the
-Dijkstra search advances one tie layer at a time, scanning every column
-of the layer and relaxing all their matched rows in one vectorized
-step; scanned columns are marked NaN in the distance array, so every
-comparison and ``np.fmin`` reduction skips them.  The search stops at
-the first layer holding a free column and takes the lowest-index one.
-Each column records only the layer that last shortened its distance;
-predecessor rows are worked out for the columns on the augmenting path
-alone, and the potentials are updated from the recorded layers.
+tie at each distance.  The Dijkstra search from a row advances one tie
+layer at a time, scanning every column of the layer and relaxing all
+their matched rows in one vectorized step; scanned columns are marked
+NaN in the distance array, so every comparison and ``np.fmin``
+reduction skips them and ``np.minimum`` keeps them marked.  The search
+stops at the first layer holding a free column and takes the
+lowest-index one; a row whose nearest columns include a free one is
+matched before any layer is scanned.
+
+No predecessor is recorded during the search.  Each layer keeps the
+distances it reached, and the augmenting path is traced back from them
+for its few columns alone: a column's predecessor layer is the last one
+that strictly shortened it, the first minimum of its distance from the
+row and its reach in each layer before the one that scanned it.  Within
+that layer the row with the least reduced cost to the column, the first
+among ties, is the predecessor.  The potentials are then updated from
+the stored layers.
 
 Costs are nonnegative reals; ``inf`` marks a forbidden pairing (an
 unranked school, when costs are preference ranks).  NaN and negative
@@ -81,7 +88,9 @@ def min_cost_assignment(cost) -> AssignmentResult:
         raise InfeasibleAssignmentError(
             f"infeasible row {int(dead.argmax())}: all costs are infinite"
         )
-    integral = bool((np.round(c) == c).all())  # inf rounds to itself
+    # 64 rows at a time, stopping at the first fraction; inf rounds to itself
+    blocks = (c[i : i + 64] for i in range(0, n_rows, 64))
+    integral = all((np.round(block) == block).all() for block in blocks)
 
     v = np.zeros(n_cols)  # column potentials; row duals are recomputed on the fly
     row_of_col = np.full(n_cols, -1, dtype=np.int64)
@@ -91,63 +100,68 @@ def min_cost_assignment(cost) -> AssignmentResult:
     for cur_row in range(n_rows):
         # Dijkstra from cur_row over columns in the reduced-cost graph.
         shortest = c[cur_row] - v
-        min_val = shortest.min()
-        nearest = shortest == min_val
-        j = int((nearest & free).argmax())
-        if nearest[j] and free[j]:  # a free column is among the nearest: no search
-            free[j] = False
-            row_of_col[j] = cur_row
-            col_of_row[cur_row] = j
-            continue
-        cols = np.flatnonzero(nearest)
-        improved_at = np.full(n_cols, -1)  # layer that last shortened each column
         layers = []  # (columns, distance, rows reached, their duals) per layer
+        reached = []  # the distances each layer reached, for tracing the path back
         while True:
+            min_val = np.fmin.reduce(shortest)
+            if not min_val < np.inf:
+                raise InfeasibleAssignmentError(
+                    f"infeasible row {cur_row}: no augmenting path with finite cost"
+                )
+            nearest = shortest == min_val
+            sink = nearest & free
+            j = int(sink.argmax())  # the lowest-index free column at min_val
+            if sink[j]:
+                break
             # Scan the whole tie layer: reduced costs are nonnegative, so
-            # the order of columns at one distance does not matter.
-            shortest[cols] = np.nan  # scanned: never relaxed or chosen again
-            rows = row_of_col[cols]
-            u = c[rows, cols] - v[cols]  # duals of the rows reached
-            layers.append((cols, min_val, rows, u))
-            # In place, but in the order (c[rows] - v - u) + min_val.
-            if len(cols) == 1:
-                reach = c[rows[0]] - v
-                reach -= u[0]
+            # the order of columns at one distance does not matter.  In
+            # place, but in the order (c[rows] - v - u) + min_val.
+            cols = nearest.nonzero()[0]
+            if len(cols) == 1:  # scalar indexing: the same operations, fewer calls
+                cols = int(cols[0])
+                rows = int(row_of_col[cols])
+                u = c[rows, cols] - v[cols]  # the dual of the row reached
+                reach = c[rows] - v
+                reach -= u
             else:
-                reach = c[rows]
+                rows = row_of_col[cols]
+                u = c[rows, cols] - v[cols]  # duals of the rows reached
+                reach = c.take(rows, axis=0)
                 reach -= v
                 reach -= u[:, None]
                 reach = reach.min(axis=0)
             reach += min_val
-            better = reach < shortest
-            np.copyto(improved_at, len(layers) - 1, where=better)
-            np.copyto(shortest, reach, where=better)
-            min_val = np.fmin.reduce(shortest)
-            if not np.isfinite(min_val):
-                raise InfeasibleAssignmentError(
-                    f"infeasible row {cur_row}: no augmenting path with finite cost"
-                )
-            cols = np.flatnonzero(shortest == min_val)
-            sinks = free[cols]
-            if sinks.any():
-                break
-        j = int(cols[sinks.argmax()])
+            shortest[cols] = np.nan  # scanned: never relaxed or chosen again
+            np.minimum(shortest, reach, out=shortest)  # NaN propagates
+            layers.append((cols, min_val, rows, u))
+            reached.append(reach)
         free[j] = False
-        # Flip the path.  A column's predecessor is cur_row, or the row of
-        # the layer that last shortened it with the least reduced cost to
-        # it (the first among ties); v is unchanged since that layer, so
-        # the numbers are the ones the layer compared.
+        # Flip the path.  A column's predecessor is cur_row, or a row of the
+        # last layer that strictly shortened it: the first minimum of its
+        # distance from cur_row and its reach in each layer before the one
+        # that scanned it (every layer, for the sink), which is the
+        # predecessor layer of the column before it on the path.  v is
+        # unchanged since the search, so these are the numbers it compared.
+        scanned_by = len(layers)
         while True:
-            layer = improved_at[j]
+            layer, best = -1, c[cur_row, j] - v[j]
+            for k in range(scanned_by):
+                reach = reached[k][j]
+                if reach < best:
+                    layer, best = k, reach
             if layer < 0:
                 i = cur_row
             else:
                 _, _, rows, u = layers[layer]
-                i = int(rows[(c[rows, j] - v[j] - u).argmin()])
+                if isinstance(rows, int):  # a one-row layer
+                    i = rows
+                else:
+                    i = int(rows[(c[rows, j] - v[j] - u).argmin()])
             row_of_col[j] = i
             col_of_row[i], j = j, col_of_row[i]
             if i == cur_row:
                 break
+            scanned_by = layer
         # Then update the potentials of the scanned columns.
         for scanned, dist, _, _ in layers:
             v[scanned] += dist - min_val

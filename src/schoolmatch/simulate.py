@@ -177,6 +177,9 @@ class ExperimentConfig:
         unknown = [m for m in self.mechanisms if m not in MECHANISMS]
         if unknown:
             raise ValueError(f"unknown mechanisms {unknown}; choose from {sorted(MECHANISMS)}")
+        repeated = sorted({m for m in self.mechanisms if self.mechanisms.count(m) > 1})
+        if repeated:
+            raise ValueError(f"repeated mechanisms {repeated}; name each once")
         if not self.mechanisms and self.manipulation is None:
             raise ValueError("nothing to run: no mechanisms and no manipulation")
 

@@ -136,3 +136,16 @@ def test_float_costs_supported():
     assert result.col_of_row == (0, 1)
     assert result.total_cost == pytest.approx(0.75)
     assert isinstance(result.total_cost, float)
+
+
+@pytest.mark.parametrize("row", [None, 0, 100, 129], ids=["integral", "row0", "row100", "row129"])
+def test_total_type_read_from_every_row(row):
+    # the integrality test runs in blocks of rows; the last block is short
+    rng = np.random.default_rng(11)
+    c = rng.integers(0, 6, size=(130, 140)).astype(float)
+    c[:, 130:] = np.inf  # inf counts as integral
+    if row is not None:
+        c[row, 135] = 2.5  # never chosen: only its presence counts
+    result = min_cost_assignment(c)
+    assert isinstance(result.total_cost, float if row is not None else int)
+    assert result.total_cost == int(c[np.arange(130), list(result.col_of_row)].sum())

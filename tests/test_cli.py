@@ -183,6 +183,12 @@ def test_unknown_flag_exits_2(capsys):
     assert excinfo.value.code == 2
 
 
+def test_repeated_mechanism_exits_2(capsys):
+    code, out, err = run_cli(capsys, "simulate", "--n", "6", "--reps", "3", "--mechanisms", "DA,DA")
+    assert code == 2 and out == ""
+    assert err.startswith("error: repeated mechanisms ['DA']")
+
+
 def test_bad_mechanism_exits_2(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["simulate", "--mechanisms", "BOSTON"])

@@ -1,9 +1,10 @@
 """The solver and RM against their earlier forms, kept in ``oracles``.
 
-The one-gather cost matrix and the NaN-masked layer loop must give the
+The one-gather cost matrix and the NaN-masked layer loop, which traces
+predecessors back from each layer's stored distances, must give the
 same matching as the two-step matrix build and the ``done``-mask loop
-on every input, not only the same cost: RM's CSV depends on which
-optimum the solver picks among ties.
+with its ``pred_row`` array on every input, not only the same cost:
+RM's CSV depends on which optimum the solver picks among ties.
 """
 
 import re
@@ -68,6 +69,34 @@ def test_non_integer_matrices(step):
             cost = np.round(cost / step) * step
         cost[rng.random((nr, nc)) < 0.3] = np.inf
         cost[np.arange(nr), rng.permutation(nc)[:nr]] = 2.5  # some matching is finite
+        assert check_same_result(cost)
+        assert isinstance(min_cost_assignment(cost).total_cost, float)
+
+
+def test_tie_heavy_search_sizes():
+    # 40-150 rows: searches run through many layers, and augmenting paths
+    # through two or more of them, which the small sets above rarely reach
+    rng = np.random.default_rng(72)
+    for _ in range(24):
+        nr = int(rng.integers(40, 151))
+        nc = nr + int(rng.integers(0, 4))
+        # each row ranks the columns, ranks above 5 tie at 5: rows compete
+        # for their few cheap columns, as students do for their first choices
+        cost = np.minimum(rng.random((nr, nc)).argsort(axis=1), 5).astype(float)
+        cost[rng.random((nr, nc)) < rng.uniform(0.0, 0.5)] = np.inf
+        cost[np.arange(nr), rng.permutation(nc)[:nr]] = 5.0  # some matching is finite
+        assert check_same_result(cost)
+
+
+def test_quarter_step_search_sizes():
+    # quarters tie often and add exactly, at sizes with long searches
+    rng = np.random.default_rng(73)
+    for _ in range(24):
+        nr = int(rng.integers(30, 81))
+        nc = nr + int(rng.integers(0, 9))
+        cost = np.round(rng.random((nr, nc)) * 12) / 4
+        cost[rng.random((nr, nc)) < 0.3] = np.inf
+        cost[np.arange(nr), rng.permutation(nc)[:nr]] = 2.5
         assert check_same_result(cost)
         assert isinstance(min_cost_assignment(cost).total_cost, float)
 

@@ -236,6 +236,9 @@ class TestRunExperiment:
             ExperimentConfig(n=5, replications=0, master_seed=0)
         with pytest.raises(ValueError):
             ExperimentConfig(n=5, replications=1, master_seed=0, mechanisms=("XX",))
+        # a repeated name would pool two runs under one label
+        with pytest.raises(ValueError, match=r"repeated mechanisms \['DA'\]"):
+            ExperimentConfig(n=5, replications=1, master_seed=0, mechanisms=("DA", "RM", "DA"))
 
     def test_replication_index_attached_to_errors(self, tmp_path):
         # a market whose DA run works but whose file disappears mid-way is
