@@ -12,11 +12,9 @@ from schoolmatch.market import (
     Market,
     MarketFormatError,
     UndersuppliedMarketError,
-    UnrankedSchoolError,
     balance_capacities,
     effective_ranks,
     load_market,
-    rank_of,
     save_market,
     validate_allocation,
     validate_market,

@@ -19,19 +19,14 @@ import io
 import sys
 from pathlib import Path
 
-from schoolmatch.market import (
-    UNASSIGNED,
-    MarketFormatError,
-    UndersuppliedMarketError,
-    effective_ranks,
-    load_market,
-)
+from schoolmatch.market import UNASSIGNED, effective_ranks, load_market
 from schoolmatch.mechanisms import MECHANISMS, run_mechanism
 from schoolmatch.simulate import (
     MANIPULATION_KINDS,
     ExperimentConfig,
     ExperimentError,
     Manipulation,
+    _refuse_repeated,
     derive_seed,
     run_experiment,
 )
@@ -93,6 +88,8 @@ def _cmd_manipulate(args: argparse.Namespace) -> int:
         raise ValueError(
             f"unknown manipulation kind {args.kind!r}; choose from {MANIPULATION_KINDS}"
         )
+    if not args.shares:
+        raise ValueError("no shares to run: --shares is empty")
     # every share is checked before the first experiment runs
     manipulations = [Manipulation(args.kind, share) for share in args.shares]
     blocks = []
@@ -111,6 +108,7 @@ def _cmd_manipulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
+    _refuse_repeated(args.mechanisms)
     market = load_market(args.market)
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
@@ -225,7 +223,7 @@ def main(argv: list[str] | None = None) -> int:
             sub.set_defaults(**values)
             args = parser.parse_args(argv)
         return args.func(args)
-    except (ValueError, MarketFormatError, UndersuppliedMarketError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ExperimentError as exc:

@@ -10,6 +10,14 @@ which mechanisms and metrics read directly and through ``rank_table``
 and ``priority_table``, and an allocation one read-only int64 array;
 tuple views of both are built only when first read.
 
+Each list is screened once per market, and its screen is both its
+lookup table and its problems: the lookups raise the first problem and
+``validate_market`` reports them all, so a loaded market hands the
+mechanisms the tables its validation built.  The priority screen also
+refuses priorities that do not cover exactly one list per school.
+Ranks are read from ``rank_table``, ``effective_ranks`` and
+``validate_allocation``; there is no per-student ``rank_of``.
+
 Markets and allocations are immutable after construction and every
 operation here is a pure function, so instances can be shared freely
 across threads.
@@ -30,8 +38,6 @@ __all__ = [
     "Allocation",
     "MarketFormatError",
     "UndersuppliedMarketError",
-    "UnrankedSchoolError",
-    "rank_of",
     "effective_ranks",
     "validate_market",
     "validate_allocation",
@@ -50,10 +56,6 @@ class MarketFormatError(ValueError):
 
 class UndersuppliedMarketError(ValueError):
     """Total school capacity cannot seat the student population."""
-
-
-class UnrankedSchoolError(ValueError):
-    """A school was used where the student never ranked it."""
 
 
 def _as_padded(lists) -> tuple[np.ndarray, np.ndarray]:
@@ -81,13 +83,15 @@ def _screen(lists: np.ndarray, lengths: np.ndarray, width: int,
     repeated ids, row by row in list order.  Padding and unknown ids
     land in a spill column, so a clean list fills one cell per entry and
     one count of filled cells screens every list.  (A cell holding
-    position width + 2 reads as empty; only a flawed list is that long.)"""
+    position width + 2 reads as empty; only a flawed list is that long.)
+    The table is read-only."""
     cols = lists.shape[1]
     # negative ids read as huge unsigned ones, so one test finds both kinds
     ids = np.where(lists.view(np.uint64) < width, lists, width)
     table = np.full((lists.shape[0], width + 1), width + 2, dtype=np.int64)
     np.put_along_axis(table, ids, np.arange(1, cols + 1)[None, :], axis=1)
     table = table[:, :width]
+    table.setflags(write=False)
     filled = table != width + 2
     problems: list[str] = []
     if np.count_nonzero(filled) == lengths.sum():
@@ -101,15 +105,6 @@ def _screen(lists: np.ndarray, lengths: np.ndarray, width: int,
                 problems.append(f"{owner} {i}: duplicate {item} {x} in {list_name}")
             seen.add(x)
     return table, problems
-
-
-def _lookup_table(*screen_args) -> np.ndarray:
-    """``_screen``'s table, read-only; raises ValueError with its first problem."""
-    table, problems = _screen(*screen_args)
-    if problems:
-        raise ValueError(problems[0])
-    table.setflags(write=False)
-    return table
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -129,9 +124,9 @@ class Market:
     (full lists).  They are stored as ``pref_array``/``list_lengths`` and
     ``priority_array``/``priority_lengths`` (read-only int64, rows padded
     with -1); ``prefs`` and ``priorities`` are tuple views built on first
-    access.  Construction checks nothing: ``validate_market`` reports
-    problems, and the table builds refuse unknown or repeated ids and
-    negative capacities.
+    access.  Construction checks nothing: each list's screen, cached on
+    first use, finds its problems, which ``validate_market`` reports and
+    the table lookups refuse, together with negative capacities.
     """
 
     capacities: tuple[int, ...]
@@ -207,20 +202,38 @@ class Market:
         return tuple(tuple(row[:k]) for row, k in rows)
 
     @cached_property
+    def _pref_screen(self) -> tuple[np.ndarray, list[str]]:
+        """``_screen`` of the preference lists: rank table and problems."""
+        return _screen(self.pref_array, self.list_lengths, self.n_schools,
+                       "student", "school", "preference list")
+
+    @cached_property
+    def _priority_screen(self) -> tuple[np.ndarray, list[str]]:
+        """``_screen`` of the priority lists, led by a wrong school count."""
+        table, problems = _screen(self.priority_array, self.priority_lengths, self.n_students,
+                                  "school", "student", "priority list")
+        if len(self.priority_lengths) != self.n_schools:
+            problems.insert(0, f"priorities cover {len(self.priority_lengths)} schools, "
+                               f"expected {self.n_schools}")
+        return table, problems
+
+    @cached_property
     def rank_table(self) -> np.ndarray:
         """(n, m) 1-based rank of each school for each student.
 
         Unranked schools get the sentinel m + 2, strictly above every
         effective rank (the worst effective rank is m + 1).  Every
-        mechanism builds it, so it raises ValueError for a negative
+        mechanism reads it, so it raises ValueError for a negative
         capacity (zero seats are allowed) and for a list naming a school
         outside 0..m-1, or one twice, in ``validate_market``'s words.
         """
         for s, cap in enumerate(self.capacities):
             if cap < 0:
                 raise ValueError(f"school {s}: negative capacity {cap}")
-        return _lookup_table(self.pref_array, self.list_lengths, self.n_schools,
-                             "student", "school", "preference list")
+        table, problems = self._pref_screen
+        if problems:
+            raise ValueError(problems[0])
+        return table
 
     @cached_property
     def priority_table(self) -> np.ndarray:
@@ -228,10 +241,13 @@ class Market:
 
         Students a school does not rank get the sentinel n + 2, strictly
         above the n + 1 cutoff used for vacant seats.  Raises ValueError
-        if a list names a student outside 0..n-1 or one twice.
+        if the priorities do not cover exactly m schools, or a list names
+        a student outside 0..n-1 or one twice.
         """
-        return _lookup_table(self.priority_array, self.priority_lengths, self.n_students,
-                             "school", "student", "priority list")
+        table, problems = self._priority_screen
+        if problems:
+            raise ValueError(problems[0])
+        return table
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -267,22 +283,6 @@ class Allocation:
         return len(self.assignment_array)
 
 
-def rank_of(market: Market, student: int, school: int) -> int:
-    """1-based rank of ``school`` in the student's list.
-
-    ``UNASSIGNED`` gets list length + 1 (the convention used throughout
-    the statistics: being unassigned is one worse than the last ranked
-    school).  Asking about a school the student never ranked raises
-    UnrankedSchoolError; callers must treat such schools as unacceptable.
-    """
-    length = int(market.list_lengths[student])
-    if school == UNASSIGNED:
-        return length + 1
-    if 0 <= school < market.n_schools and market.rank_table[student, school] <= length:
-        return int(market.rank_table[student, school])
-    raise UnrankedSchoolError(f"student {student} does not rank school {school}")
-
-
 def effective_ranks(market: Market, allocation: Allocation) -> np.ndarray:
     """(n,) effective rank per student: realized rank, or k+1 if unassigned."""
     a = allocation.assignment_array
@@ -299,16 +299,9 @@ def validate_market(market: Market) -> list[str]:
     you can inspect.
     """
     n, m = market.n_students, market.n_schools
-    problems: list[str] = []
-    for s, cap in enumerate(market.capacities):
-        if cap < 1:
-            problems.append(f"school {s}: capacity must be at least 1, got {cap}")
-    problems += _screen(market.pref_array, market.list_lengths, m,
-                        "student", "school", "preference list")[1]
-    if len(market.priority_lengths) != m:
-        problems.append(f"priorities cover {len(market.priority_lengths)} schools, expected {m}")
-    problems += _screen(market.priority_array, market.priority_lengths, n,
-                        "school", "student", "priority list")[1]
+    problems = [f"school {s}: capacity must be at least 1, got {cap}"
+                for s, cap in enumerate(market.capacities) if cap < 1]
+    problems += market._pref_screen[1] + market._priority_screen[1]
     for ids, count, name in ((market.student_ids, n, "student"), (market.school_ids, m, "school")):
         if len(ids) != count:
             problems.append(f"{name}_ids length does not match number of {name}s")

@@ -142,6 +142,13 @@ def apply_manipulation(
     return market._replace(pref_array=prefs)
 
 
+def _refuse_repeated(mechanisms: tuple[str, ...]) -> None:
+    """Raise ValueError naming every mechanism listed more than once."""
+    repeated = sorted({m for m in mechanisms if mechanisms.count(m) > 1})
+    if repeated:
+        raise ValueError(f"repeated mechanisms {repeated}; name each once")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One replication-based experiment.
@@ -177,9 +184,7 @@ class ExperimentConfig:
         unknown = [m for m in self.mechanisms if m not in MECHANISMS]
         if unknown:
             raise ValueError(f"unknown mechanisms {unknown}; choose from {sorted(MECHANISMS)}")
-        repeated = sorted({m for m in self.mechanisms if self.mechanisms.count(m) > 1})
-        if repeated:
-            raise ValueError(f"repeated mechanisms {repeated}; name each once")
+        _refuse_repeated(self.mechanisms)
         if not self.mechanisms and self.manipulation is None:
             raise ValueError("nothing to run: no mechanisms and no manipulation")
 

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import pytest
 
@@ -134,9 +135,10 @@ def test_manipulate_blocks_per_share(capsys):
 
 @pytest.mark.parametrize("config, argv, message", [
     pytest.param(None, ["--shares", "0,1.5"], "share must lie in [0, 1], got 1.5", id="bad_share"),
-    # a config kind= skips argparse's choices; an empty --shares builds no Manipulation
+    # a config kind= skips argparse's choices, so it is checked ahead of the shares
     pytest.param("kind=bogus\n", ["--shares", ""], "unknown manipulation kind 'bogus'",
                  id="bad_config_kind"),
+    pytest.param(None, ["--shares", ""], "no shares to run: --shares is empty", id="no_shares"),
 ])
 def test_manipulate_refuses_before_running(tmp_path, capsys, monkeypatch, config, argv, message):
     calls = []
@@ -187,6 +189,13 @@ def test_repeated_mechanism_exits_2(capsys):
     code, out, err = run_cli(capsys, "simulate", "--n", "6", "--reps", "3", "--mechanisms", "DA,DA")
     assert code == 2 and out == ""
     assert err.startswith("error: repeated mechanisms ['DA']")
+
+
+def test_evaluate_repeated_mechanism_exits_2(capsys):
+    path = Path(__file__).parent / "data" / "small_market.txt"
+    code, out, err = run_cli(capsys, "evaluate", "--market", str(path), "--mechanisms", "DA,DA")
+    assert code == 2 and out == ""
+    assert err == "error: repeated mechanisms ['DA']; name each once\n"
 
 
 def test_bad_mechanism_exits_2(capsys):

@@ -10,11 +10,9 @@ from schoolmatch.market import (
     Market,
     MarketFormatError,
     UndersuppliedMarketError,
-    UnrankedSchoolError,
     balance_capacities,
     effective_ranks,
     load_market,
-    rank_of,
     save_market,
     validate_allocation,
     validate_market,
@@ -24,6 +22,7 @@ from schoolmatch.simulate import generate_uniform_market
 from oracles import (
     position_table_by_definition,
     random_market_lists,
+    ranks_by_definition,
     validate_allocation_by_loops,
     validate_market_by_loops,
 )
@@ -35,38 +34,6 @@ def market_2x2():
         prefs=((0, 1), (0, 1)),
         priorities=((1, 0), (0, 1)),
     )
-
-
-class TestRankOf:
-    def test_positional(self):
-        # list s3,s1,s2 -> indices (2, 0, 1); school s1 is index 0
-        m = Market(capacities=(1, 1, 1), prefs=((2, 0, 1),) * 3, priorities=((0, 1, 2),) * 3)
-        assert rank_of(m, 0, 0) == 2
-        assert rank_of(m, 0, 2) == 1
-        assert rank_of(m, 0, 1) == 3
-
-    def test_unassigned_is_len_plus_one(self):
-        m = Market(capacities=(1, 1, 1), prefs=((2, 0, 1),) * 3, priorities=((0, 1, 2),) * 3)
-        assert rank_of(m, 0, UNASSIGNED) == 4
-
-    def test_singleton_list(self):
-        m = Market(capacities=(1,) * 5, prefs=((4,),), priorities=((0,),) * 5)
-        assert rank_of(m, 0, 4) == 1
-        assert rank_of(m, 0, UNASSIGNED) == 2
-
-    def test_unranked_school_raises(self):
-        m = Market(capacities=(1, 1), prefs=((0,), (0, 1)), priorities=((0, 1), (0, 1)))
-        with pytest.raises(UnrankedSchoolError):
-            rank_of(m, 0, 1)
-
-    def test_bijection_onto_1_to_k(self):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            n = int(rng.integers(1, 9))
-            m = generate_uniform_market(n, int(rng.integers(0, 2**32)))
-            for t in range(n):
-                ranks = sorted(rank_of(m, t, s) for s in m.prefs[t])
-                assert ranks == list(range(1, len(m.prefs[t]) + 1))
 
 
 class TestValidateMarket:
@@ -105,8 +72,10 @@ class TestValidateAllocation:
 
     def test_unranked_assignment(self):
         m = Market(capacities=(1, 1), prefs=((0,), (0, 1)), priorities=((0, 1), (0, 1)))
+        # the unranked school's sentinel m + 2 lies above every effective rank
+        assert m.rank_table[0].tolist() == [1, 4]
         problems = validate_allocation(m, Allocation((1, 0)))
-        assert any("never ranked" in p for p in problems)
+        assert problems == ["student 0: assigned school 1 they never ranked"]
 
 
 class TestBalanceCapacities:
@@ -246,20 +215,42 @@ class TestMarketFiles:
 
 
 class TestEffectiveRanks:
+    def test_positional(self):
+        # list s3,s1,s2 -> indices (2, 0, 1); school s1 is index 0
+        m = Market(capacities=(1, 1, 1), prefs=((2, 0, 1),) * 3, priorities=((0, 1, 2),) * 3)
+        assert m.rank_table[0].tolist() == [2, 3, 1]
+        assert effective_ranks(m, Allocation((0, 1, 2))).tolist() == [2, 3, 1]
+
+    def test_unassigned_is_len_plus_one(self):
+        m = Market(capacities=(1, 1, 1), prefs=((2, 0, 1),) * 3, priorities=((0, 1, 2),) * 3)
+        assert effective_ranks(m, Allocation((UNASSIGNED, 0, 1))).tolist() == [4, 2, 3]
+
+    def test_singleton_list(self):
+        m = Market(capacities=(1,) * 5, prefs=((4,),), priorities=((0,),) * 5)
+        assert effective_ranks(m, Allocation((4,))).tolist() == [1]
+        assert effective_ranks(m, Allocation((UNASSIGNED,))).tolist() == [2]
+
     def test_partial_list_unassigned(self):
         m = Market(capacities=(1, 1), prefs=((0,), (0, 1)), priorities=((0, 1), (0, 1)))
         ranks = effective_ranks(m, Allocation((UNASSIGNED, 0)))
         assert ranks.tolist() == [2, 1]
 
-    def test_matches_rank_of(self):
+    def test_ranks_fill_1_to_k(self):
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            n = int(rng.integers(1, 9))
+            m = generate_uniform_market(n, int(rng.integers(0, 2**32)))
+            for t in range(n):
+                ranks = sorted(m.rank_table[t, list(m.prefs[t])].tolist())
+                assert ranks == list(range(1, len(m.prefs[t]) + 1))
+
+    def test_matches_definition(self):
         rng = np.random.default_rng(17)
         for _ in range(20):
             n = int(rng.integers(1, 8))
             m = generate_uniform_market(n, int(rng.integers(0, 2**32)))
             alloc = Allocation(tuple(int(s) for s in rng.permutation(n)))
-            ranks = effective_ranks(m, alloc)
-            for t in range(n):
-                assert ranks[t] == rank_of(m, t, alloc.assignment[t])
+            assert effective_ranks(m, alloc).tolist() == ranks_by_definition(m, alloc)
 
 
 class TestArrayStorage:

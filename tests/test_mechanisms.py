@@ -1,7 +1,10 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from schoolmatch.market import UNASSIGNED, Allocation, Market
+from schoolmatch import market as market_module
+from schoolmatch.market import UNASSIGNED, Allocation, Market, load_market
 from schoolmatch.mechanisms import (
     _rank_cost_matrix,
     deferred_acceptance,
@@ -12,6 +15,7 @@ from schoolmatch.mechanisms import (
     top_trading_cycles,
 )
 from schoolmatch.market import effective_ranks, validate_market
+from schoolmatch.metrics import rank_stats
 from schoolmatch.simulate import generate_uniform_market
 
 from oracles import (
@@ -303,6 +307,28 @@ class TestCrossMechanismProperties:
         for name in ("DA", "TTC", "RSD", "RM"):
             with pytest.raises(ValueError, match="school 0: negative capacity -1"):
                 run_mechanism(name, m, 3)
+
+    @pytest.mark.parametrize("schools", [1, 3], ids=["m-1", "m+1"])
+    def test_wrong_priority_count_refused(self, schools):
+        m = Market(capacities=(1, 1), prefs=((0, 1), (0, 1)), priorities=((0, 1),) * schools)
+        message = f"priorities cover {schools} schools, expected 2"
+        assert validate_market(m)[0] == message
+        for name in ("DA", "TTC"):
+            with pytest.raises(ValueError, match=message):
+                run_mechanism(name, m, 3)
+        with pytest.raises(ValueError, match=message):
+            rank_stats(m, Allocation((0, 1)))
+
+    def test_loaded_market_screens_each_list_once(self, monkeypatch):
+        # load_market's validation builds the tables every mechanism reads
+        lists = []
+        screen = market_module._screen
+        monkeypatch.setattr(market_module, "_screen",
+                            lambda *args: lists.append(args[-1]) or screen(*args))
+        m = load_market(Path(__file__).parent / "data" / "small_market.txt")
+        for name in ("DA", "TTC", "RSD", "RM"):
+            run_mechanism(name, m, 3)
+        assert lists == ["preference list", "priority list"]
 
     def test_unknown_mechanism(self):
         with pytest.raises(ValueError, match="unknown mechanism"):
