@@ -72,10 +72,8 @@ class TestValidateAllocation:
 
     def test_unranked_assignment(self):
         m = Market(capacities=(1, 1), prefs=((0,), (0, 1)), priorities=((0, 1), (0, 1)))
-        # the unranked school's sentinel m + 2 lies above every effective rank
-        assert m.rank_table[0].tolist() == [1, 4]
         problems = validate_allocation(m, Allocation((1, 0)))
-        assert problems == ["student 0: assigned school 1 they never ranked"]
+        assert any("never ranked" in p for p in problems)
 
 
 class TestBalanceCapacities:
@@ -229,6 +227,15 @@ class TestEffectiveRanks:
         m = Market(capacities=(1,) * 5, prefs=((4,),), priorities=((0,),) * 5)
         assert effective_ranks(m, Allocation((4,))).tolist() == [1]
         assert effective_ranks(m, Allocation((UNASSIGNED,))).tolist() == [2]
+
+    def test_unranked_school_flagged(self):
+        # student 0 lists only school 0; school 1 gets the sentinel m + 2,
+        # above the worst effective rank k + 1, and the allocation is refused
+        m = Market(capacities=(1, 1), prefs=((0,), (0, 1)), priorities=((0, 1), (0, 1)))
+        assert m.rank_table[0].tolist() == [1, 4]
+        assert effective_ranks(m, Allocation((1, 0))).tolist() == [4, 1]
+        problems = validate_allocation(m, Allocation((1, 0)))
+        assert problems == ["student 0: assigned school 1 they never ranked"]
 
     def test_partial_list_unassigned(self):
         m = Market(capacities=(1, 1), prefs=((0,), (0, 1)), priorities=((0, 1), (0, 1)))
