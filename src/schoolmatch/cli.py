@@ -46,7 +46,11 @@ def _mechanism_list(text: str) -> tuple[str, ...]:
 
 
 def _float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in text.split(",") if tok.strip())
+    values = tuple(float(tok) for tok in text.split(",") if tok.strip())
+    repeated = sorted({x for x in values if values.count(x) > 1})
+    if repeated:
+        raise argparse.ArgumentTypeError(f"repeated values {repeated}; give each once")
+    return values
 
 
 def _read_config_file(path: str) -> dict[str, str]:

@@ -60,9 +60,15 @@ class UndersuppliedMarketError(ValueError):
 
 def _as_padded(lists) -> tuple[np.ndarray, np.ndarray]:
     """Nested sequences, or a 2-D integer array of full-length lists, as
-    (read-only int64 array padded with -1, read-only list lengths)."""
+    (read-only int64 array padded with -1, read-only list lengths).  A
+    read-only int64 array over read-only memory is kept as it is;
+    anything else is copied, so the caller cannot write to what the
+    market stores."""
     if isinstance(lists, np.ndarray) and lists.ndim == 2:
-        padded = lists.astype(np.int64)  # a copy the caller cannot write to
+        # a read-only view of an array the caller can still write is copied
+        owner = lists.base if isinstance(lists.base, np.ndarray) else lists
+        keep = lists.dtype == np.int64 and not (lists.flags.writeable or owner.flags.writeable)
+        padded = lists if keep else lists.astype(np.int64)
         lengths = np.full(padded.shape[0], padded.shape[1], dtype=np.int64)
     else:
         rows = list(lists)
@@ -80,30 +86,32 @@ def _screen(lists: np.ndarray, lengths: np.ndarray, width: int,
             owner: str, item: str, list_name: str) -> tuple[np.ndarray, list[str]]:
     """(rows, width) table of each id's 1-based position in the row's
     list, or width + 2 where the list leaves it out; and the unknown and
-    repeated ids, row by row in list order.  Padding and unknown ids
-    land in a spill column, so a clean list fills one cell per entry and
-    one count of filled cells screens every list.  (A cell holding
-    position width + 2 reads as empty; only a flawed list is that long.)
-    The table is read-only."""
-    cols = lists.shape[1]
-    # negative ids read as huge unsigned ones, so one test finds both kinds
-    ids = np.where(lists.view(np.uint64) < width, lists, width)
-    table = np.full((lists.shape[0], width + 1), width + 2, dtype=np.int64)
-    np.put_along_axis(table, ids, np.arange(1, cols + 1)[None, :], axis=1)
+    repeated ids, row by row in list order.  Positions are scattered
+    into a zeroed table, so a clean list fills one cell per entry and one
+    count of nonzero cells screens every list.  Padding and unknown ids,
+    when one reduction finds any, land in a spill column.  The table is
+    read-only."""
+    # negative ids (padding included) read as huge unsigned ones, so one
+    # max finds every id outside 0..width-1
+    spill = int(lists.view(np.uint64).max(initial=0) >= width)
+    ids = np.where(lists.view(np.uint64) < width, lists, width) if spill else lists
+    table = np.zeros((lists.shape[0], width + spill), dtype=np.int64)
+    np.put_along_axis(table, ids, np.arange(1, lists.shape[1] + 1)[None, :], axis=1)
     table = table[:, :width]
-    table.setflags(write=False)
-    filled = table != width + 2
+    filled = np.count_nonzero(table)
     problems: list[str] = []
-    if np.count_nonzero(filled) == lengths.sum():
-        return table, problems
-    for i in np.flatnonzero(np.count_nonzero(filled, axis=1) < lengths).tolist():
-        seen: set[int] = set()
-        for x in lists[i, :lengths[i]].tolist():
-            if not 0 <= x < width:
-                problems.append(f"{owner} {i}: unknown {item} id {x}")
-            elif x in seen:
-                problems.append(f"{owner} {i}: duplicate {item} {x} in {list_name}")
-            seen.add(x)
+    if filled != lengths.sum():
+        for i in np.flatnonzero(np.count_nonzero(table, axis=1) < lengths).tolist():
+            seen: set[int] = set()
+            for x in lists[i, :lengths[i]].tolist():
+                if not 0 <= x < width:
+                    problems.append(f"{owner} {i}: unknown {item} id {x}")
+                elif x in seen:
+                    problems.append(f"{owner} {i}: duplicate {item} {x} in {list_name}")
+                seen.add(x)
+    if filled < table.size:
+        table[table == 0] = width + 2
+    table.setflags(write=False)
     return table, problems
 
 

@@ -78,7 +78,11 @@ def justified_envy(market: Market, allocation: Allocation) -> set[int]:
 
 def _envious(market: Market, a: np.ndarray, eff: np.ndarray) -> np.ndarray:
     """(n,) mask of the students with justified envy, given the
-    assignment array ``a`` and its effective ranks ``eff``."""
+    assignment array ``a`` and its effective ranks ``eff``.
+
+    A student can only envy a school they rank above their own, so only
+    the (student, school) pairs ``pref_array[t, :eff[t] - 1]`` are
+    gathered, with ``np.repeat``, and tested for a claim on the school."""
     n, m = market.n_students, market.n_schools
     prio = market.priority_table
     assigned_students = np.nonzero(a >= 0)[0]
@@ -91,9 +95,14 @@ def _envious(market: Market, a: np.ndarray, eff: np.ndarray) -> np.ndarray:
     filled = np.bincount(assigned_schools, minlength=m)
     cutoff = np.where(filled < np.asarray(market.capacities), n + 1, cutoff)
 
-    prefers = market.rank_table < eff[:, None]
-    claims = prio.T < cutoff[None, :]
-    return (prefers & claims).any(axis=1)
+    # a seat at a school the student never ranked leaves every listed one above it
+    above = np.minimum(eff - 1, market.list_lengths)
+    students = np.repeat(np.arange(n), above)
+    starts = np.cumsum(above) - above
+    schools = market.pref_array[students, np.arange(students.size) - np.repeat(starts, above)]
+    envious = np.zeros(n, dtype=bool)
+    envious[students[prio[schools, students] < cutoff[schools]]] = True
+    return envious
 
 
 @dataclass(frozen=True)

@@ -74,14 +74,19 @@ class ExperimentError(RuntimeError):
 def generate_uniform_market(n: int, seed: int) -> Market:
     """A market of n students and n unit-capacity schools where every
     preference and priority list is an independent uniform permutation
-    (seeded Fisher-Yates)."""
+    (seeded Fisher-Yates).
+
+    One (2n, n) array of 0..n-1 rows is shuffled row by row in place:
+    rows 0..n-1 are the preferences and rows n..2n-1 the priorities, the
+    same draws as shuffling two (n, n) tiles in turn.  The array is then
+    made read-only, so the market stores both halves without a copy."""
     if n < 1:
         raise ValueError("n must be at least 1")
     rng = np.random.default_rng(seed)
-    base = np.tile(np.arange(n), (n, 1))
-    prefs = rng.permuted(base, axis=1)
-    priorities = rng.permuted(base, axis=1)
-    return Market(capacities=(1,) * n, prefs=prefs, priorities=priorities)
+    tile = np.repeat(np.arange(n, dtype=np.int64)[None, :], 2 * n, axis=0)  # owns its memory
+    rng.permuted(tile, axis=1, out=tile)
+    tile.setflags(write=False)
+    return Market(capacities=(1,) * n, prefs=tile[:n], priorities=tile[n:])
 
 
 MANIPULATION_KINDS = ("drop_assigned", "drop_first")
@@ -292,6 +297,34 @@ def _default_thresholds(n: int) -> tuple[float, ...]:
     return (1.0, 2.0, math.log(n), 0.1 * n, 0.25 * n, 0.5 * n)
 
 
+def _replicate(config: ExperimentConfig, fixed: Market | None, r: int) -> dict[str, list[float]]:
+    """Replication r: draw its market (or take the fixed one), run each
+    configured mechanism and the manipulation, and return one row per
+    label.  The market and its tables are freed on return, so the next
+    replication draws into memory this one has given back."""
+    seed = config.master_seed
+    market = fixed or generate_uniform_market(config.n, derive_seed(seed, r, _TAG_MARKET))
+    rm_seed = derive_seed(seed, r, _TAG_RM)
+    rsd_seed = derive_seed(seed, r, _TAG_RSD)
+    rows: dict[str, list[float]] = {}
+    rm_alloc: Allocation | None = None
+    for mech in config.mechanisms:
+        if mech == "RM":
+            alloc = rm_alloc = rank_minimizing(market, rm_seed)
+        else:
+            alloc = run_mechanism(mech, market, rsd_seed)
+        rows[mech] = _row(rank_stats(market, alloc), config.thresholds)
+    manipulation = config.manipulation
+    if manipulation is not None:
+        if rm_alloc is None:
+            rm_alloc = rank_minimizing(market, rm_seed)
+        manipulated = apply_manipulation(market, rm_alloc, manipulation.kind, manipulation.share,
+                                         derive_seed(seed, r, _TAG_MANIPULATION))
+        re_run = rank_minimizing(manipulated, rm_seed)
+        rows[manipulation.label] = _row(rank_stats(market, re_run), config.thresholds)
+    return rows
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run every configured mechanism over fresh replications.
 
@@ -305,37 +338,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     n_market = fixed.n_students if fixed else config.n
     if config.thresholds is None:
         config = replace(config, thresholds=_default_thresholds(n_market))
-    cutoffs = config.thresholds
     rows: dict[str, list[list[float]]] = {m: [] for m in config.mechanisms}
     if config.manipulation is not None:
         rows[config.manipulation.label] = []
 
     for r in range(config.replications):
         try:
-            market = fixed or generate_uniform_market(
-                config.n, derive_seed(config.master_seed, r, _TAG_MARKET)
-            )
-            rm_seed = derive_seed(config.master_seed, r, _TAG_RM)
-            rsd_seed = derive_seed(config.master_seed, r, _TAG_RSD)
-            rm_alloc: Allocation | None = None
-            for mech in config.mechanisms:
-                if mech == "RM":
-                    alloc = rm_alloc = rank_minimizing(market, rm_seed)
-                else:
-                    alloc = run_mechanism(mech, market, rsd_seed)
-                rows[mech].append(_row(rank_stats(market, alloc), cutoffs))
-            if config.manipulation is not None:
-                if rm_alloc is None:
-                    rm_alloc = rank_minimizing(market, rm_seed)
-                manipulated = apply_manipulation(
-                    market,
-                    rm_alloc,
-                    config.manipulation.kind,
-                    config.manipulation.share,
-                    derive_seed(config.master_seed, r, _TAG_MANIPULATION),
-                )
-                re_run = rank_minimizing(manipulated, rm_seed)
-                rows[config.manipulation.label].append(_row(rank_stats(market, re_run), cutoffs))
+            for label, row in _replicate(config, fixed, r).items():
+                rows[label].append(row)
         except Exception as exc:
             raise ExperimentError(f"replication {r}: {exc}") from exc
 

@@ -57,7 +57,8 @@ def pareto_optimal_by_enumeration(market: Market, allocation: Allocation) -> boo
 
 
 def envious_by_definition(market: Market, allocation: Allocation) -> set[int]:
-    """Direct double loop over the two envy conditions."""
+    """Direct double loop over the two envy conditions.  A seat holder
+    the school does not rank stands below every student it ranks."""
     out = set()
     assignment = allocation.assignment
     for t in range(market.n_students):
@@ -74,8 +75,8 @@ def envious_by_definition(market: Market, allocation: Allocation) -> set[int]:
             if len(admitted) < market.capacities[s]:
                 out.add(t)
                 break
-            t_pos = market.priorities[s].index(t)
-            if any(market.priorities[s].index(t2) > t_pos for t2 in admitted):
+            ranked = market.priorities[s]
+            if any(t2 not in ranked or ranked.index(t2) > ranked.index(t) for t2 in admitted):
                 out.add(t)
                 break
     return out

@@ -152,6 +152,29 @@ def test_manipulate_refuses_before_running(tmp_path, capsys, monkeypatch, config
     assert calls == []
 
 
+@pytest.mark.parametrize("argv, config, message", [
+    pytest.param(["manipulate", "--mechanisms", "RM", "--shares", "0.5,0.5"], None,
+                 "argument --shares: repeated values [0.5]; give each once", id="shares"),
+    pytest.param(["simulate", "--thresholds", "1,1"], None,
+                 "argument --thresholds: repeated values [1.0]; give each once", id="thresholds"),
+    pytest.param(["simulate"], "thresholds=1,2,1.0\n",
+                 "argument --thresholds: repeated values [1.0]; give each once",
+                 id="config_thresholds"),
+])
+def test_repeated_list_value_exits_2(tmp_path, capsys, argv, config, message):
+    # a repeated share or cutoff would rerun its work and repeat its rows
+    if config:
+        (tmp_path / "exp.cfg").write_text(config)
+        argv = argv + ["--config", str(tmp_path / "exp.cfg")]
+    try:
+        code = main(argv + ["--n", "6", "--reps", "2", "--seed", "1"])
+    except SystemExit as exc:  # argparse's usage error
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert message in captured.err
+
+
 def test_oracle_rsd_envy(capsys):
     code, out, _ = run_cli(capsys, "oracle", "--check", "rsd_envy", "--n", "2000")
     assert code == 0

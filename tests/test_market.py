@@ -317,6 +317,31 @@ class TestArrayStorage:
             with pytest.raises(AttributeError):
                 m.capacities = ()
 
+    def test_read_only_int64_array_stored_without_copy(self):
+        rng = np.random.default_rng(40)
+        read_only = np.array([rng.permutation(3) for _ in range(4)])
+        read_only.setflags(write=False)
+        writable = np.array([rng.permutation(4) for _ in range(3)])
+        m = Market(capacities=(2, 1, 1), prefs=read_only, priorities=writable)
+        assert np.shares_memory(m.pref_array, read_only)
+        assert not np.shares_memory(m.priority_array, writable)
+        kept = m.priority_array.copy()
+        writable[0] = writable[0][::-1]
+        assert np.array_equal(m.priority_array, kept)
+        # a read-only array of another dtype is converted, so copied
+        narrow = read_only.astype(np.int32)
+        narrow.setflags(write=False)
+        m = Market(capacities=(2, 1, 1), prefs=narrow, priorities=kept)
+        assert not np.shares_memory(m.pref_array, narrow)
+        # so is a read-only view of an array the caller can still write
+        view = writable[:]
+        view.setflags(write=False)
+        m = Market(capacities=(2, 1, 1), prefs=read_only, priorities=view)
+        assert not np.shares_memory(m.priority_array, writable)
+        # a generated market stores both halves of its one draw
+        generated = generate_uniform_market(5, 1)
+        assert generated.pref_array.base is generated.priority_array.base is not None
+
     def test_save_load_round_trip(self, tmp_path):
         for i, (caps, prefs, prios) in enumerate(self.random_markets(35, count=40)):
             m = Market(capacities=caps, prefs=prefs, priorities=prios)
@@ -344,6 +369,22 @@ class TestArrayStorage:
             assert validate_market(m) == validate_market_by_loops(m)
             flawed += bool(validate_market(m))
         assert 100 < flawed < 200  # clean markets are screened too
+        # full-length 2-D arrays with in-range ids only take the screen's
+        # path without a spill column: repeated ids, and lists longer
+        # than the ids they draw from
+        flawed = 0
+        for i in range(60):
+            n, m_schools = (int(x) for x in rng.integers(1, 9, size=2))
+            prefs = np.array([rng.permutation(m_schools) for _ in range(n)])
+            prios = np.array([rng.permutation(n) for _ in range(m_schools)])
+            if i % 3 == 1:
+                prefs[rng.integers(n), rng.integers(m_schools)] = rng.integers(m_schools)
+            elif i % 3 == 2:
+                prios = rng.integers(0, n, size=(m_schools, n + 1))
+            m = Market(capacities=[1] * m_schools, prefs=prefs, priorities=prios)
+            assert validate_market(m) == validate_market_by_loops(m)
+            flawed += bool(validate_market(m))
+        assert 20 < flawed < 40
 
     def test_allocation_storage(self):
         rng = np.random.default_rng(38)

@@ -17,6 +17,7 @@ from oracles import (
     dominates,
     envious_by_definition,
     pareto_optimal_by_enumeration,
+    random_market_lists,
     ranks_by_definition,
 )
 
@@ -96,6 +97,35 @@ class TestJustifiedEnvy:
             m = generate_uniform_market(n, int(rng.integers(0, 2**32)))
             alloc = Allocation(tuple(int(s) for s in rng.permutation(n)))
             assert justified_envy(m, alloc) == envious_by_definition(m, alloc)
+
+    def test_matches_definition_on_random_partial_markets(self):
+        # partial and empty lists, capacities above 1, unbalanced sizes,
+        # and feasible allocations that leave students unassigned
+        rng = np.random.default_rng(34)
+        envious = unassigned = crowded = 0
+        for _ in range(300):
+            caps, prefs, prios = random_market_lists(rng)
+            m = Market(capacities=caps, prefs=prefs, priorities=prios)
+            seats = list(caps)
+            assignment = [UNASSIGNED] * len(prefs)
+            for t in rng.permutation(len(prefs)).tolist():
+                open_ = [s for s in prefs[t] if seats[s] > 0]
+                if open_ and rng.random() < 0.8:
+                    assignment[t] = int(rng.choice(open_))
+                    seats[assignment[t]] -= 1
+            alloc = Allocation(assignment)
+            expected = envious_by_definition(m, alloc)
+            assert justified_envy(m, alloc) == expected
+            envious += bool(expected)
+            unassigned += UNASSIGNED in assignment
+            crowded += any(assignment.count(s) > 1 for s in range(len(caps)))
+        assert min(envious, unassigned, crowded) > 50, (envious, unassigned, crowded)
+
+    def test_seat_at_unranked_school_leaves_every_listed_school_above(self):
+        # student 0 holds school 1, which they never ranked, and outranks
+        # the holder of school 0, the one school they do rank
+        m = Market(capacities=(1, 1), prefs=((0,), (0, 1)), priorities=((0, 1), (0, 1)))
+        assert justified_envy(m, Allocation((1, 0))) == {0}
 
     def test_capacity_envy_compares_worst_admitted(self):
         # school 0 (2 seats) admits students 1,2; student 0 prefers it and

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,17 @@ class TestGenerateUniformMarket:
     def test_rejects_n_zero(self):
         with pytest.raises(ValueError):
             generate_uniform_market(0, 1)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 200])
+    def test_same_draws_as_two_shuffles(self, n):
+        # shuffling preferences and then priorities as two (n, n) tiles
+        for seed in (0, 3, 2**64 - 1):
+            rng = np.random.default_rng(seed)
+            base = np.tile(np.arange(n), (n, 1))
+            prefs, priorities = rng.permuted(base, axis=1), rng.permuted(base, axis=1)
+            m = generate_uniform_market(n, seed)
+            assert np.array_equal(m.pref_array, prefs)
+            assert np.array_equal(m.priority_array, priorities)
 
 
 class TestApplyManipulation:
@@ -248,6 +261,31 @@ class TestRunExperiment:
         object.__setattr__(config, "mechanisms", ("DA", "BAD"))
         with pytest.raises(ExperimentError, match="replication 0"):
             run_experiment(config)
+        # a failed draw is named too
+        object.__setattr__(config, "n", 0)
+        with pytest.raises(ExperimentError, match="replication 0: n must be at least 1"):
+            run_experiment(config)
+
+    def test_replication_holds_one_market(self):
+        # each replication frees its market before the next one is drawn,
+        # and stores its (2n, n) draw without a copy: the peak is that
+        # draw and the market's two (n, n) tables, 4 n^2 int64 cells
+        n = 400
+        config = ExperimentConfig(n=n, replications=3, master_seed=1,
+                                  mechanisms=("DA", "TTC", "RSD"))
+        run_experiment(config)  # warm-up: imports and lazy set-up
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            run_experiment(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak - before < 5 * n * n * 8
 
 
 class TestPartialListPipeline:
