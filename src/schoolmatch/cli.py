@@ -176,7 +176,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction
                      help="comma list from DA,TTC,RSD,RM (default %(default)s)")
     sim.add_argument("--thresholds", type=_float_list, default=None,
                      help="rank cutoffs (default 1,2,log n,0.1n,0.25n,0.5n for the "
-                          "market's n students)")
+                          "market's n students, each once)")
     sim.add_argument("--market", default=None, help="fixed market file instead of random markets")
     sim.add_argument("--config", default=None, help="key=value file with defaults for the flags")
     sim.add_argument("--out", default=None, help="write CSV here instead of stdout")

@@ -5,10 +5,13 @@ Market files may use arbitrary integer ids; the loader maps them onto
 indices (ascending id order) and keeps the original ids for round-tripping
 and reporting.  All algorithmic code works on indices.
 
-A market stores its lists as read-only int64 arrays padded with -1,
-which mechanisms and metrics read directly and through ``rank_table``
-and ``priority_table``, and an allocation one read-only int64 array;
-tuple views of both are built only when first read.
+A market stores its lists as read-only int32 arrays padded with -1,
+which mechanisms and metrics read directly and through the int32
+``rank_table`` and ``priority_table``, and an allocation one read-only
+int64 array; tuple views of both are built only when first read.  The
+lists and tables of an n-student uniform market take 16 n^2 bytes.  A
+list or assignment entry that does not convert exactly (a fraction, or
+an id the narrower type would wrap) raises ValueError.
 
 Each list is screened once per market, and its screen is both its
 lookup table and its problems: the lookups raise the first problem and
@@ -58,25 +61,43 @@ class UndersuppliedMarketError(ValueError):
     """Total school capacity cannot seat the student population."""
 
 
-def _as_padded(lists) -> tuple[np.ndarray, np.ndarray]:
-    """Nested sequences, or a 2-D integer array of full-length lists, as
-    (read-only int64 array padded with -1, read-only list lengths).  A
-    read-only int64 array over read-only memory is kept as it is;
-    anything else is copied, so the caller cannot write to what the
-    market stores."""
+def _exact(values: np.ndarray, dtype, owner: str, item: str, row_of) -> np.ndarray:
+    """``values`` cast to a new ``dtype`` array.  An entry the cast would
+    change (a fraction, or an id outside ``dtype``'s range) raises
+    ValueError naming the first one in C order, whose owner is row
+    ``row_of(flat index)``."""
+    numbers = values if values.dtype.kind in "biuf" else values.astype(np.float64)
+    with np.errstate(invalid="ignore"):
+        cast = numbers.astype(dtype)
+    changed = np.flatnonzero(cast != numbers)
+    if changed.size:
+        i = int(changed[0])
+        raise ValueError(f"{owner} {row_of(i)}: {item} id {values.item(i)} "
+                         f"does not convert exactly to {np.dtype(dtype)}")
+    return cast
+
+
+def _as_padded(lists, owner: str, item: str) -> tuple[np.ndarray, np.ndarray]:
+    """Nested sequences, or a 2-D array of full-length lists, as
+    (read-only int32 array padded with -1, read-only int64 list
+    lengths).  A read-only int32 array over read-only memory is kept as
+    it is; anything else is copied, so the caller cannot write to what
+    the market stores, and an entry that is not an exact int32 raises
+    ValueError naming its ``owner`` row."""
     if isinstance(lists, np.ndarray) and lists.ndim == 2:
         # a read-only view of an array the caller can still write is copied
-        owner = lists.base if isinstance(lists.base, np.ndarray) else lists
-        keep = lists.dtype == np.int64 and not (lists.flags.writeable or owner.flags.writeable)
-        padded = lists if keep else lists.astype(np.int64)
+        base = lists.base if isinstance(lists.base, np.ndarray) else lists
+        keep = lists.dtype == np.int32 and not (lists.flags.writeable or base.flags.writeable)
+        padded = lists if keep else _exact(lists, np.int32, owner, item,
+                                           lambda i: i // lists.shape[1])
         lengths = np.full(padded.shape[0], padded.shape[1], dtype=np.int64)
     else:
         rows = list(lists)
         lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-        padded = np.full((len(rows), lengths.max(initial=0)), -1, dtype=np.int64)
-        padded[np.arange(padded.shape[1]) < lengths[:, None]] = np.fromiter(
-            chain.from_iterable(rows), dtype=np.int64, count=int(lengths.sum())
-        )
+        flat = _exact(np.array(list(chain.from_iterable(rows))), np.int32, owner, item,
+                      lambda i: int(np.searchsorted(np.cumsum(lengths), i, side="right")))
+        padded = np.full((len(rows), lengths.max(initial=0)), -1, dtype=np.int32)
+        padded[np.arange(padded.shape[1]) < lengths[:, None]] = flat
     padded.setflags(write=False)
     lengths.setflags(write=False)
     return padded, lengths
@@ -84,7 +105,7 @@ def _as_padded(lists) -> tuple[np.ndarray, np.ndarray]:
 
 def _screen(lists: np.ndarray, lengths: np.ndarray, width: int,
             owner: str, item: str, list_name: str) -> tuple[np.ndarray, list[str]]:
-    """(rows, width) table of each id's 1-based position in the row's
+    """(rows, width) int32 table of each id's 1-based position in the row's
     list, or width + 2 where the list leaves it out; and the unknown and
     repeated ids, row by row in list order.  Positions are scattered
     into a zeroed table, so a clean list fills one cell per entry and one
@@ -93,10 +114,11 @@ def _screen(lists: np.ndarray, lengths: np.ndarray, width: int,
     read-only."""
     # negative ids (padding included) read as huge unsigned ones, so one
     # max finds every id outside 0..width-1
-    spill = int(lists.view(np.uint64).max(initial=0) >= width)
-    ids = np.where(lists.view(np.uint64) < width, lists, width) if spill else lists
-    table = np.zeros((lists.shape[0], width + spill), dtype=np.int64)
-    np.put_along_axis(table, ids, np.arange(1, lists.shape[1] + 1)[None, :], axis=1)
+    spill = int(lists.view(np.uint32).max(initial=0) >= width)
+    ids = np.where(lists.view(np.uint32) < width, lists, width) if spill else lists
+    table = np.zeros((lists.shape[0], width + spill), dtype=np.int32)
+    positions = np.arange(1, lists.shape[1] + 1, dtype=np.int32)
+    np.put_along_axis(table, ids, positions[None, :], axis=1)
     table = table[:, :width]
     filled = np.count_nonzero(table)
     problems: list[str] = []
@@ -129,12 +151,16 @@ class Market:
         defaulting to 0..n-1 and 0..m-1.
 
     prefs and priorities may be nested sequences or 2-D integer arrays
-    (full lists).  They are stored as ``pref_array``/``list_lengths`` and
-    ``priority_array``/``priority_lengths`` (read-only int64, rows padded
-    with -1); ``prefs`` and ``priorities`` are tuple views built on first
-    access.  Construction checks nothing: each list's screen, cached on
-    first use, finds its problems, which ``validate_market`` reports and
-    the table lookups refuse, together with negative capacities.
+    (full lists).  They are stored as ``pref_array`` and
+    ``priority_array`` (read-only int32, rows padded with -1) with
+    ``list_lengths`` and ``priority_lengths`` (read-only int64).  A
+    read-only int32 array over read-only memory is adopted without a
+    copy; anything else is copied.  ``prefs`` and ``priorities`` are
+    tuple views built on first access.  Construction refuses only an
+    entry that does not convert exactly to int32 (ValueError); each
+    list's screen, cached on first use, finds its other problems, which
+    ``validate_market`` reports and the table lookups refuse, together
+    with negative capacities.
     """
 
     capacities: tuple[int, ...]
@@ -147,7 +173,8 @@ class Market:
 
     def __init__(self, capacities, prefs, priorities, student_ids=(), school_ids=()) -> None:
         capacities = tuple(int(c) for c in capacities)
-        prefs, priorities = _as_padded(prefs), _as_padded(priorities)
+        prefs = _as_padded(prefs, "student", "school")
+        priorities = _as_padded(priorities, "school", "student")
         student_ids = tuple(int(i) for i in student_ids or range(len(prefs[1])))
         school_ids = tuple(int(i) for i in school_ids or range(len(capacities)))
         stored = (capacities, *prefs, *priorities, student_ids, school_ids)
@@ -227,7 +254,7 @@ class Market:
 
     @cached_property
     def rank_table(self) -> np.ndarray:
-        """(n, m) 1-based rank of each school for each student.
+        """(n, m) int32 1-based rank of each school for each student.
 
         Unranked schools get the sentinel m + 2, strictly above every
         effective rank (the worst effective rank is m + 1).  Every
@@ -245,7 +272,7 @@ class Market:
 
     @cached_property
     def priority_table(self) -> np.ndarray:
-        """(m, n) 1-based priority position of each student at each school.
+        """(m, n) int32 1-based priority position of each student at each school.
 
         Students a school does not rank get the sentinel n + 2, strictly
         above the n + 1 cutoff used for vacant seats.  Raises ValueError
@@ -263,13 +290,14 @@ class Allocation:
     """Per-student school index, or UNASSIGNED.
 
     Any sequence or array is stored as ``assignment_array``, a read-only
-    int64 copy; ``assignment``, the tuple view through which allocations
-    compare and hash, is built on first access."""
+    int64 copy; an entry that is not an exact int64 raises ValueError.
+    ``assignment``, the tuple view through which allocations compare and
+    hash, is built on first access."""
 
     assignment_array: np.ndarray
 
     def __init__(self, assignment) -> None:
-        array = np.array(assignment, dtype=np.int64)
+        array = _exact(np.asarray(assignment), np.int64, "student", "school", lambda t: t)
         array.setflags(write=False)
         object.__setattr__(self, "assignment_array", array)
 

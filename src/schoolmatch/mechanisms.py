@@ -177,8 +177,11 @@ def _rank_cost_matrix(market: Market) -> tuple[np.ndarray, np.ndarray]:
     matrix over seats is ``table[:, seats]``.
     """
     ranks = market.rank_table
-    lengths = market.list_lengths[:, None]
-    table = np.hstack([np.where(ranks <= lengths, ranks, np.inf), lengths + 1.0])
+    n, m = ranks.shape
+    table = np.empty((n, m + 1))
+    table[:, :m] = ranks
+    np.copyto(table[:, :m], np.inf, where=ranks > market.list_lengths[:, None])
+    table[:, m] = market.list_lengths + 1
     seats = np.repeat(np.arange(market.n_schools), market.capacities)
     if not market.has_full_lists or market.total_seats < market.n_students:
         seats = np.concatenate([seats, np.full(market.n_students, UNASSIGNED)])

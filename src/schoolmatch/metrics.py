@@ -90,7 +90,7 @@ def _envious(market: Market, a: np.ndarray, eff: np.ndarray) -> np.ndarray:
     # Priority position a challenger must strictly beat, per school:
     # the worst admitted position, or n+1 when a seat is still free
     # (unranked students carry the sentinel n+2 and never qualify).
-    cutoff = np.zeros(m, dtype=np.int64)
+    cutoff = np.zeros(m, dtype=prio.dtype)
     np.maximum.at(cutoff, assigned_schools, prio[assigned_schools, assigned_students])
     filled = np.bincount(assigned_schools, minlength=m)
     cutoff = np.where(filled < np.asarray(market.capacities), n + 1, cutoff)

@@ -71,22 +71,33 @@ class ExperimentError(RuntimeError):
     """A replication failed; the message carries the replication index."""
 
 
+#: Rows shuffled per block by ``generate_uniform_market``.
+_DRAW_ROWS = 64
+
+
 def generate_uniform_market(n: int, seed: int) -> Market:
     """A market of n students and n unit-capacity schools where every
     preference and priority list is an independent uniform permutation
     (seeded Fisher-Yates).
 
-    One (2n, n) array of 0..n-1 rows is shuffled row by row in place:
-    rows 0..n-1 are the preferences and rows n..2n-1 the priorities, the
-    same draws as shuffling two (n, n) tiles in turn.  The array is then
-    made read-only, so the market stores both halves without a copy."""
+    The (2n, n) int32 lists are drawn row by row: rows 0..n-1 are the
+    preferences and rows n..2n-1 the priorities, the same draws as
+    shuffling two (n, n) tiles in turn.  numpy shuffles 8-byte items
+    fastest, so each block of rows is shuffled as int64 0..n-1 in one
+    small reused buffer and copied in.  The array is then made
+    read-only, so the market stores both halves without a copy."""
     if n < 1:
         raise ValueError("n must be at least 1")
     rng = np.random.default_rng(seed)
-    tile = np.repeat(np.arange(n, dtype=np.int64)[None, :], 2 * n, axis=0)  # owns its memory
-    rng.permuted(tile, axis=1, out=tile)
-    tile.setflags(write=False)
-    return Market(capacities=(1,) * n, prefs=tile[:n], priorities=tile[n:])
+    lists = np.empty((2 * n, n), dtype=np.int32)
+    block = np.empty((min(_DRAW_ROWS, 2 * n), n), dtype=np.int64)
+    for start in range(0, 2 * n, len(block)):
+        rows = block[:2 * n - start]
+        rows[:] = np.arange(n)
+        rng.permuted(rows, axis=1, out=rows)
+        lists[start:start + len(rows)] = rows
+    lists.setflags(write=False)
+    return Market(capacities=(1,) * n, prefs=lists[:n], priorities=lists[n:])
 
 
 MANIPULATION_KINDS = ("drop_assigned", "drop_first")
@@ -163,8 +174,8 @@ class ExperimentConfig:
     every replication is independently reproducible.  With market_path
     set, the same file-loaded market is used in every replication and
     only the mechanism randomness varies.  Thresholds of None stand for
-    the default cutoffs 1, 2, ln n, n/10, n/4 and n/2, where n is the
-    number of students in the market (read from the file when
+    the default cutoffs 1, 2, ln n, n/10, n/4 and n/2, each once, where
+    n is the number of students in the market (read from the file when
     market_path is set).
     """
 
@@ -294,7 +305,8 @@ def _summarize(label: str, rows: list[list[float]]) -> MechanismSummary:
 
 
 def _default_thresholds(n: int) -> tuple[float, ...]:
-    return (1.0, 2.0, math.log(n), 0.1 * n, 0.25 * n, 0.5 * n)
+    """Cutoffs 1, 2, ln n, n/10, n/4 and n/2, each once, in that order."""
+    return tuple(dict.fromkeys((1.0, 2.0, math.log(n), 0.1 * n, 0.25 * n, 0.5 * n)))
 
 
 def _replicate(config: ExperimentConfig, fixed: Market | None, r: int) -> dict[str, list[float]]:

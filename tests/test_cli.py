@@ -25,8 +25,9 @@ def test_simulate_emits_table_shaped_csv(capsys):
     assert lines[0] == CSV_HEADER
     mechanisms = {line.split(",")[0] for line in lines[1:]}
     assert mechanisms == {"RM", "TTC", "DA"}
-    # default threshold grid: 1, 2, log n, 0.1n, 0.25n, 0.5n
-    assert len(lines) == 1 + 3 * 6
+    # default threshold grid: 1, 2, log n, 0.1n, 0.25n, 0.5n, each once;
+    # at n=20 the cutoff 0.1n repeats 2 and is dropped
+    assert len(lines) == 1 + 3 * 5
 
 
 def test_simulate_reproducible_output(capsys):

@@ -1,4 +1,5 @@
-"""Byte-for-byte CSV goldens for the ``simulate`` and ``manipulate`` CLI.
+"""Byte-for-byte CSV goldens for the ``simulate``, ``manipulate`` and
+``evaluate`` CLI.
 
 Each case runs ``cli.main`` and compares its stdout with a committed
 file under ``tests/data/``.  A change to the representation of markets
@@ -36,6 +37,11 @@ CASES = {
     "simulate_small_market.csv": [
         "simulate", "--market", "tests/data/small_market.txt", "--reps", "25",
         "--seed", "11", "--mechanisms", "RM,TTC,DA,RSD",
+    ],
+    # per-student output of the same file-loaded market
+    "evaluate_small_market.csv": [
+        "evaluate", "--market", "tests/data/small_market.txt", "--mechanisms", "DA,TTC,RSD,RM",
+        "--seed", "11",
     ],
 }
 

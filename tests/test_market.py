@@ -274,7 +274,8 @@ class TestArrayStorage:
             assert m.capacities == tuple(caps)
             assert m.list_lengths.tolist() == [len(p) for p in prefs]
             assert m.priority_lengths.tolist() == [len(p) for p in prios]
-            assert m.pref_array.dtype == m.priority_array.dtype == np.int64
+            assert m.pref_array.dtype == m.priority_array.dtype == np.int32
+            assert m.list_lengths.dtype == m.priority_lengths.dtype == np.int64
 
     def test_array_input_equals_nested_input(self):
         rng = np.random.default_rng(32)
@@ -317,22 +318,24 @@ class TestArrayStorage:
             with pytest.raises(AttributeError):
                 m.capacities = ()
 
-    def test_read_only_int64_array_stored_without_copy(self):
+    def test_read_only_int32_array_stored_without_copy(self):
         rng = np.random.default_rng(40)
-        read_only = np.array([rng.permutation(3) for _ in range(4)])
+        read_only = np.array([rng.permutation(3) for _ in range(4)], dtype=np.int32)
         read_only.setflags(write=False)
-        writable = np.array([rng.permutation(4) for _ in range(3)])
+        writable = np.array([rng.permutation(4) for _ in range(3)], dtype=np.int32)
         m = Market(capacities=(2, 1, 1), prefs=read_only, priorities=writable)
         assert np.shares_memory(m.pref_array, read_only)
         assert not np.shares_memory(m.priority_array, writable)
         kept = m.priority_array.copy()
         writable[0] = writable[0][::-1]
         assert np.array_equal(m.priority_array, kept)
-        # a read-only array of another dtype is converted, so copied
-        narrow = read_only.astype(np.int32)
-        narrow.setflags(write=False)
-        m = Market(capacities=(2, 1, 1), prefs=narrow, priorities=kept)
-        assert not np.shares_memory(m.pref_array, narrow)
+        # a read-only array of another dtype, int64 included, is
+        # converted, so copied
+        wide = read_only.astype(np.int64)
+        wide.setflags(write=False)
+        m = Market(capacities=(2, 1, 1), prefs=wide, priorities=kept)
+        assert not np.shares_memory(m.pref_array, wide)
+        assert m.pref_array.dtype == np.int32 and np.array_equal(m.pref_array, wide)
         # so is a read-only view of an array the caller can still write
         view = writable[:]
         view.setflags(write=False)
@@ -341,6 +344,32 @@ class TestArrayStorage:
         # a generated market stores both halves of its one draw
         generated = generate_uniform_market(5, 1)
         assert generated.pref_array.base is generated.priority_array.base is not None
+
+    def test_nested_entries_must_be_exact_ids(self):
+        # a fraction is refused, not truncated into a valid id
+        with pytest.raises(ValueError, match="student 0: school id 0.7 does not convert exactly"):
+            Market((1, 1), [[0.7, 1.2], [1.9, 0.1]], [[0, 1], [1, 0]])
+        with pytest.raises(ValueError, match="school 1: student id 4294967297 does not"):
+            Market((1, 1), [[0, 1], [1, 0]], [[0, 1], [1, 2**32 + 1]])
+        # a whole float converts exactly and is kept
+        m = Market((1, 1), [[0.0, 1.0], [1, 0]], [[0, 1], [1, 0]])
+        assert m.prefs == ((0, 1), (1, 0)) and not validate_market(m)
+
+    def test_array_entries_must_be_exact_ids(self):
+        # int64 2**32 + 1 would wrap to the valid id 1 in int32
+        prefs = np.array([[0, 1], [2**32 + 1, 0]])
+        with pytest.raises(ValueError, match="student 1: school id 4294967297 does not"):
+            Market((1, 1), prefs, [[0, 1], [1, 0]])
+        prios = np.array([[0.0, 1.0], [1.0, np.nan]])
+        with pytest.raises(ValueError, match="school 1: student id nan does not"):
+            Market((1, 1), [[0, 1], [1, 0]], prios)
+
+    def test_allocation_entries_must_be_exact_ids(self):
+        with pytest.raises(ValueError, match="student 0: school id 0.7 does not convert exactly"):
+            Allocation([0.7, 1.2])
+        with pytest.raises(ValueError, match="student 1: school id inf does not"):
+            Allocation(np.array([1.0, np.inf]))
+        assert Allocation([1.0, -1.0]).assignment == (1, UNASSIGNED)
 
     def test_save_load_round_trip(self, tmp_path):
         for i, (caps, prefs, prios) in enumerate(self.random_markets(35, count=40)):

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -12,6 +13,7 @@ from schoolmatch.simulate import (
     ExperimentConfig,
     ExperimentError,
     Manipulation,
+    _DRAW_ROWS,
     apply_manipulation,
     derive_seed,
     generate_uniform_market,
@@ -68,7 +70,9 @@ class TestGenerateUniformMarket:
         with pytest.raises(ValueError):
             generate_uniform_market(0, 1)
 
-    @pytest.mark.parametrize("n", [1, 2, 7, 200])
+    # 2n below, on and just past the draw's block of rows, then many blocks
+    @pytest.mark.parametrize("n", [1, 2, 7, _DRAW_ROWS // 2 - 1, _DRAW_ROWS // 2,
+                                   _DRAW_ROWS // 2 + 1, 200])
     def test_same_draws_as_two_shuffles(self, n):
         # shuffling preferences and then priorities as two (n, n) tiles
         for seed in (0, 3, 2**64 - 1):
@@ -76,6 +80,7 @@ class TestGenerateUniformMarket:
             base = np.tile(np.arange(n), (n, 1))
             prefs, priorities = rng.permuted(base, axis=1), rng.permuted(base, axis=1)
             m = generate_uniform_market(n, seed)
+            assert m.pref_array.dtype == m.priority_array.dtype == np.int32
             assert np.array_equal(m.pref_array, prefs)
             assert np.array_equal(m.priority_array, priorities)
 
@@ -194,6 +199,20 @@ class TestRunExperiment:
         assert len(lines) == 1 + 2  # one row per threshold
         assert lines[1].startswith("RM,6,3,")
 
+    @pytest.mark.parametrize("n, later", [(2, (0.2, 0.5)), (4, (0.4,)), (8, (0.8, 4.0)),
+                                          (10, (2.5, 5.0)), (20, (5.0, 10.0)),
+                                          (12, (1.2, 3.0, 6.0))])
+    def test_default_cutoffs_once_each(self, n, later):
+        # an n/10, n/4 or n/2 cutoff equal to an earlier one is dropped,
+        # and so is its CSV row; the order is kept
+        config = ExperimentConfig(n=n, replications=2, master_seed=1, mechanisms=("DA",),
+                                  thresholds=None)
+        report = run_experiment(config)
+        assert report.config.thresholds == pytest.approx((1.0, 2.0, math.log(n), *later))
+        rows = report.to_csv().strip().split("\n")[1:]
+        assert [row.split(",")[10] for row in rows] == [format(c, ".10g")
+                                                        for c in report.config.thresholds]
+
     def test_reproducible_csv(self):
         config = ExperimentConfig(n=12, replications=10, master_seed=123)
         assert run_experiment(config).to_csv() == run_experiment(config).to_csv()
@@ -269,7 +288,8 @@ class TestRunExperiment:
     def test_replication_holds_one_market(self):
         # each replication frees its market before the next one is drawn,
         # and stores its (2n, n) draw without a copy: the peak is that
-        # draw and the market's two (n, n) tables, 4 n^2 int64 cells
+        # draw and the market's two (n, n) tables, 4 n^2 int32 cells or
+        # 2 n^2 * 8 bytes
         n = 400
         config = ExperimentConfig(n=n, replications=3, master_seed=1,
                                   mechanisms=("DA", "TTC", "RSD"))
@@ -285,7 +305,7 @@ class TestRunExperiment:
         finally:
             if not tracing:
                 tracemalloc.stop()
-        assert peak - before < 5 * n * n * 8
+        assert peak - before < 3 * n * n * 8
 
 
 class TestPartialListPipeline:
