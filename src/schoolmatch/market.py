@@ -94,10 +94,19 @@ def _as_padded(lists, owner: str, item: str) -> tuple[np.ndarray, np.ndarray]:
     else:
         rows = list(lists)
         lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-        flat = _exact(np.array(list(chain.from_iterable(rows))), np.int32, owner, item,
-                      lambda i: int(np.searchsorted(np.cumsum(lengths), i, side="right")))
-        padded = np.full((len(rows), lengths.max(initial=0)), -1, dtype=np.int32)
-        padded[np.arange(padded.shape[1]) < lengths[:, None]] = flat
+        return _pad(_exact(np.array(list(chain.from_iterable(rows))), np.int32, owner, item,
+                           lambda i: int(np.searchsorted(np.cumsum(lengths), i, side="right"))),
+                    lengths)
+    padded.setflags(write=False)
+    lengths.setflags(write=False)
+    return padded, lengths
+
+
+def _pad(flat: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The lists laid end to end in int32 ``flat``, row i ``lengths[i]``
+    long, as (read-only array padded with -1, read-only ``lengths``)."""
+    padded = np.full((lengths.size, lengths.max(initial=0)), -1, dtype=np.int32)
+    padded[np.arange(padded.shape[1]) < lengths[:, None]] = flat
     padded.setflags(write=False)
     lengths.setflags(write=False)
     return padded, lengths
@@ -180,11 +189,16 @@ class Market:
         stored = (capacities, *prefs, *priorities, student_ids, school_ids)
         vars(self).update(zip([f.name for f in fields(self)], stored))
 
+    @classmethod
+    def _of(cls, **stored) -> Market:
+        """A market holding ``stored``, every field already in stored form."""
+        market = object.__new__(cls)
+        vars(market).update(stored)
+        return market
+
     def _replace(self, **changes) -> Market:
         """A copy with ``changes`` in stored form; other fields are shared."""
-        market = object.__new__(Market)
-        vars(market).update({f.name: getattr(self, f.name) for f in fields(self)}, **changes)
-        return market
+        return Market._of(**{f.name: getattr(self, f.name) for f in fields(self)} | changes)
 
     def _value(self) -> tuple:
         return self.capacities, self.prefs, self.priorities, self.student_ids, self.school_ids
@@ -397,81 +411,145 @@ def balance_capacities(market: Market) -> Market:
 #   [schools]     lines "school_id,capacity"
 #   [students]    lines "student_id,pref1;pref2;..."
 #   [priorities]  lines "school_id,stud1;stud2;..."   (section optional)
+# An id is what int() reads: an integer with an optional sign and
+# surrounding spaces; blank list tokens are skipped.
 # save_market emits canonical ordering: ids ascending within each section.
 
 
 def load_market(path: str | Path) -> Market:
-    """Parse a market file; raises MarketFormatError with a line number."""
-    # utf-8-sig: tolerate (and strip) a byte-order mark
-    lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
+    """Parse a market file; raises MarketFormatError naming the first
+    problem in file order, with its line number where it has one.  The
+    line loop keeps each list row's text for ``_list_ids`` to read."""
+    data = Path(path).read_bytes().removeprefix(b"\xef\xbb\xbf")  # tolerate a byte-order mark
+    try:
+        lines = data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        lineno = len((data[:exc.start].decode("utf-8") + "|").splitlines())
+        raise MarketFormatError(f"line {lineno}: not UTF-8 text "
+                                f"(byte 0x{data[exc.start]:02x}: {exc.reason})") from None
     schools: dict[int, int] = {}
-    students: dict[int, list[int]] = {}
-    priorities: dict[int, list[int]] = {}
+    students: dict[int, tuple[int, str]] = {}  # id -> (line number, list text)
+    priorities: dict[int, tuple[int, str]] = {}
     sections = {"[schools]": (schools, "school"), "[students]": (students, "student"),
                 "[priorities]": (priorities, "priorities")}
     section = None
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line in sections:
-            section = sections[line]
-            continue
-        if section is None:
-            raise MarketFormatError(f"line {lineno}: content before any section header")
-        head, sep, tail = line.partition(",")
-        if not sep:
-            raise MarketFormatError(f"line {lineno}: expected 'id,...', got {line!r}")
-        try:
-            ident = int(head)
-        except ValueError:
-            raise MarketFormatError(f"line {lineno}: bad id {head!r}") from None
-        rows, label = section
-        if ident in rows:
-            raise MarketFormatError(f"line {lineno}: duplicate {label} row {ident}")
-        try:
-            rows[ident] = (int(tail) if rows is schools
-                           else [int(tok) for tok in tail.split(";") if tok.strip()])
-        except ValueError as exc:
-            raise MarketFormatError(f"line {lineno}: {exc}") from None
+    try:
+        for lineno, raw in enumerate(lines, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            if line in sections:
+                section = sections[line]
+                continue
+            if section is None:
+                raise MarketFormatError(f"line {lineno}: content before any section header")
+            head, sep, tail = line.partition(",")
+            if not sep:
+                raise MarketFormatError(f"line {lineno}: expected 'id,...', got {line!r}")
+            try:
+                ident = int(head)
+            except ValueError:
+                raise MarketFormatError(f"line {lineno}: bad id {head!r}") from None
+            rows, label = section
+            if ident in rows:
+                raise MarketFormatError(f"line {lineno}: duplicate {label} row {ident}")
+            if rows is not schools:
+                rows[ident] = (lineno, tail)
+                continue
+            try:
+                rows[ident] = int(tail)
+            except ValueError as exc:
+                raise MarketFormatError(f"line {lineno}: {exc}") from None
+    except MarketFormatError:
+        _list_ids([*students.values(), *priorities.values()])  # an earlier bad list token wins
+        raise
 
+    school_ids = sorted(schools)
+    student_ids = sorted(students)
+    values, lengths = _list_ids([*(students[tid] for tid in student_ids),
+                                 *(priorities.get(sid, (0, "")) for sid in school_ids),
+                                 *(row for sid, row in priorities.items() if sid not in schools)])
     if not students:
         raise MarketFormatError("no students")
     if not schools:
         raise MarketFormatError("no schools")
-
-    school_ids = sorted(schools)
-    student_ids = sorted(students)
     for sid in priorities:
         if sid not in schools:
             raise MarketFormatError(f"priorities given for unknown school id {sid}")
 
-    market = Market(
-        capacities=[schools[sid] for sid in school_ids],
-        prefs=_indices([students[tid] for tid in student_ids], student_ids, school_ids,
-                       "student", "school"),
-        priorities=_indices([priorities.get(sid, []) for sid in school_ids], school_ids,
-                            student_ids, "school", "student"),
-        student_ids=student_ids,
-        school_ids=school_ids,
-    )
+    n = len(student_ids)
+    cut = int(lengths[:n].sum())
+    prefs = _indices(values[:cut], lengths[:n], school_ids, student_ids, "student", "school")
+    prios = _indices(values[cut:], lengths[n:], student_ids, school_ids, "school", "student")
+    market = Market._of(capacities=tuple(schools[sid] for sid in school_ids),
+                        pref_array=prefs[0], list_lengths=prefs[1],
+                        priority_array=prios[0], priority_lengths=prios[1],
+                        student_ids=tuple(student_ids), school_ids=tuple(school_ids))
     problems = validate_market(market)
     if problems:
         raise MarketFormatError("invalid market: " + "; ".join(problems))
     return market
 
 
-def _indices(rows: list[list[int]], owners: list[int], ids: list[int],
-             owner: str, item: str) -> list[list[int]]:
-    """Lists of external ids mapped onto their positions in ``ids``."""
-    position = {x: i for i, x in enumerate(ids)}
-    try:
-        return [[position[x] for x in row] for row in rows]
-    except KeyError as exc:
-        # the first unknown id stops the mapping inside the first row holding one
-        bad = exc.args[0]
-        who = next(w for w, row in zip(owners, rows) if bad in row)
-        raise MarketFormatError(f"{owner} {who}: unknown {item} id {bad}") from None
+def _list_ids(rows: list[tuple[int, str]]) -> tuple[np.ndarray, np.ndarray]:
+    """(ids laid end to end, list lengths) of (line number, text) list
+    rows, each token read as int() reads it, blank ones skipped; the
+    lowest line holding a token int() refuses raises MarketFormatError.
+
+    One C-level parse reads every row, but on its own it would read a
+    blank token as 0 and cap a 20-digit id at the int64 maximum.  So a
+    row that is not 1- to 18-digit ASCII tokens joined by single ';'
+    (which int64 holds exactly) is first read token by token and written
+    back as its ids' decimal strings; if one of those needs 19 digits or
+    more, all ids are read as Python ints instead.
+    """
+    texts = [text for _, text in rows]
+    # every token ends at a ';' or at its row's '\n'
+    raw = np.frombuffer("\n".join([*texts, ""]).encode(), dtype=np.uint8)
+    newlines = np.flatnonzero(raw == ord("\n"))
+    ends = np.flatnonzero((raw == ord(";")) | (raw == ord("\n")))
+    sizes = np.diff(ends, prepend=-1) - 1
+    odd = np.flatnonzero((raw - ord("0") > 9) & (raw != ord(";")) & (raw != ord("\n")))
+    suspects = np.append(odd, ends[(sizes < 1) | (sizes > 18)])
+    lengths = np.diff(np.searchsorted(ends, newlines, side="right"), prepend=0)
+    bad, huge = [], False
+    for i in np.unique(np.searchsorted(newlines, suspects)).tolist():
+        lineno, text = rows[i]
+        try:
+            ints = [int(tok) for tok in text.split(";") if tok.strip()]
+        except ValueError as exc:
+            bad.append((lineno, str(exc)))
+            continue
+        texts[i], lengths[i] = ";".join(map(str, ints)), len(ints)
+        huge = huge or max(map(abs, ints), default=0) >= 10**18
+    if bad:
+        raise MarketFormatError("line {}: {}".format(*min(bad)))
+    joined = ";".join(filter(None, texts))
+    if not huge:
+        return np.fromstring(joined, dtype=np.int64, sep=";"), lengths
+    return np.array([int(tok) for tok in joined.split(";")], dtype=object), lengths
+
+
+def _indices(values: np.ndarray, lengths: np.ndarray, ids: list[int], owners: list[int],
+             owner: str, item: str) -> tuple[np.ndarray, np.ndarray]:
+    """``_pad`` of the lists of external ids in ``values`` (laid end to
+    end, ``lengths`` long) mapped onto their positions in the sorted
+    ``ids``.  The first id not in ``ids`` raises, naming its owner."""
+    lo, hi = ids[0], ids[-1]
+    keys = np.array(ids, dtype=values.dtype if -2**63 <= lo and hi < 2**63 else object)
+    values = values.astype(keys.dtype, copy=False)
+    if keys.dtype == np.int64 and hi - lo < 2 * (keys.size + values.size):
+        table = np.full(hi - lo + 1, -1, dtype=np.int64)
+        table[keys - lo] = np.arange(keys.size)
+        found = table[np.clip(values, lo, hi) - lo]
+    else:
+        found = np.minimum(np.searchsorted(keys, values), keys.size - 1)
+    known = keys[found] == values
+    if not known.all():
+        first = int(np.argmin(known))
+        row = int(np.searchsorted(np.cumsum(lengths), first, side="right"))
+        raise MarketFormatError(f"{owner} {owners[row]}: unknown {item} id {values[first]}")
+    return _pad(found.astype(np.int32), lengths)
 
 
 def save_market(market: Market, path: str | Path) -> None:

@@ -12,11 +12,12 @@ import functools
 import itertools
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
 from schoolmatch.assignment import AssignmentResult, InfeasibleAssignmentError
-from schoolmatch.market import UNASSIGNED, Allocation, Market
+from schoolmatch.market import UNASSIGNED, Allocation, Market, MarketFormatError, validate_market
 
 
 def all_full_allocations(market: Market):
@@ -174,6 +175,68 @@ def validate_market_by_loops(market: Market) -> list[str]:
     elif any(a >= b for a, b in zip(market.school_ids, market.school_ids[1:])):
         problems.append("school_ids must be strictly increasing")
     return problems
+
+
+def load_market_by_loops(path) -> Market:
+    """load_market as the loop that read every list token with int() and
+    mapped ids through a dict, which the bulk loader replaced."""
+    schools: dict[int, int] = {}
+    students: dict[int, list[int]] = {}
+    priorities: dict[int, list[int]] = {}
+    sections = {"[schools]": (schools, "school"), "[students]": (students, "student"),
+                "[priorities]": (priorities, "priorities")}
+    section = None
+    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), 1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line in sections:
+            section = sections[line]
+            continue
+        if section is None:
+            raise MarketFormatError(f"line {lineno}: content before any section header")
+        head, sep, tail = line.partition(",")
+        if not sep:
+            raise MarketFormatError(f"line {lineno}: expected 'id,...', got {line!r}")
+        try:
+            ident = int(head)
+        except ValueError:
+            raise MarketFormatError(f"line {lineno}: bad id {head!r}") from None
+        rows, label = section
+        if ident in rows:
+            raise MarketFormatError(f"line {lineno}: duplicate {label} row {ident}")
+        try:
+            rows[ident] = (int(tail) if rows is schools
+                           else [int(tok) for tok in tail.split(";") if tok.strip()])
+        except ValueError as exc:
+            raise MarketFormatError(f"line {lineno}: {exc}") from None
+    if not students:
+        raise MarketFormatError("no students")
+    if not schools:
+        raise MarketFormatError("no schools")
+    for sid in priorities:
+        if sid not in schools:
+            raise MarketFormatError(f"priorities given for unknown school id {sid}")
+    school_ids, student_ids = sorted(schools), sorted(students)
+
+    def indices(rows, owners, ids, owner, item):
+        position = {x: i for i, x in enumerate(ids)}
+        for who, row in zip(owners, rows):
+            for x in row:
+                if x not in position:
+                    raise MarketFormatError(f"{owner} {who}: unknown {item} id {x}")
+        return [[position[x] for x in row] for row in rows]
+
+    market = Market(
+        [schools[sid] for sid in school_ids],
+        indices([students[t] for t in student_ids], student_ids, school_ids, "student", "school"),
+        indices([priorities.get(s, []) for s in school_ids], school_ids, student_ids,
+                "school", "student"),
+        student_ids, school_ids)
+    problems = validate_market(market)
+    if problems:
+        raise MarketFormatError("invalid market: " + "; ".join(problems))
+    return market
 
 
 def validate_allocation_by_loops(market: Market, allocation: Allocation) -> list[str]:

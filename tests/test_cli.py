@@ -121,6 +121,14 @@ def test_evaluate_invalid_market(tmp_path, capsys):
     assert "no students" in err
 
 
+def test_evaluate_undecodable_market(tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"[schools]\n0,1\n\xff\n")
+    code, _, err = run_cli(capsys, "evaluate", "--market", str(path))
+    assert code == 2
+    assert "line 3: not UTF-8 text (byte 0xff: invalid start byte)" in err
+
+
 def test_manipulate_blocks_per_share(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -1,5 +1,6 @@
 import copy
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from schoolmatch.market import (
 from schoolmatch.simulate import generate_uniform_market
 
 from oracles import (
+    load_market_by_loops,
     position_table_by_definition,
     random_market_lists,
     ranks_by_definition,
@@ -210,6 +212,130 @@ class TestMarketFiles:
             path = tmp_path / f"m{i}.txt"
             save_market(m, path)
             assert load_market(path) == m
+
+    @pytest.mark.parametrize("ragged", [False, True])
+    def test_load_save_identity_at_scale(self, tmp_path, ragged):
+        # 600 students ranking 8 of 150 four-seat schools, every school
+        # ranking every student; the ragged variant cuts each list short
+        rng = np.random.default_rng(600 + ragged)
+        prefs = list(np.argsort(rng.random((600, 150)), axis=1)[:, :8])
+        prios = list(rng.permuted(np.tile(np.arange(600), (150, 1)), axis=1))
+        if ragged:
+            prefs = [p[: rng.integers(0, 9)] for p in prefs]
+            prios = [p[: rng.integers(0, 601)] for p in prios]
+        m = Market(capacities=[4] * 150, prefs=prefs, priorities=prios,
+                   student_ids=range(10, 1810, 3), school_ids=range(1000, 2050, 7))
+        path = tmp_path / "m.txt"
+        save_market(m, path)
+        loaded = load_market(path)
+        assert loaded == m
+        for lists in (loaded.pref_array, loaded.priority_array):
+            assert lists.dtype == np.int32 and not lists.flags.writeable
+
+    @pytest.mark.parametrize("row, prefs", [
+        ("0,0; ;1", (0, 1)),
+        ("0,0;1;", (0, 1)),
+        ("0,", ()),
+        ("0,+1;0", (1, 0)),
+        ("0, 1 ;\t0", (1, 0)),
+        ("0,\u0660;1", (0, 1)),
+        ("0,00;1", (0, 1)),
+    ])
+    def test_list_token_syntax(self, tmp_path, row, prefs):
+        path = tmp_path / "m.txt"
+        path.write_text(f"[schools]\n0,1\n1,1\n[students]\n{row}\n", encoding="utf-8")
+        assert load_market(path) == Market((1, 1), [prefs], [(), ()])
+
+    @pytest.mark.parametrize("text, message", [
+        ("[students]\n0,0;- 1\n",
+         "line 5: invalid literal for int() with base 10: '- 1'"),
+        ("[students]\n0,1_0\n", "student 0: unknown school id 10"),
+        ("[students]\n0,99999999999999999999\n",
+         "student 0: unknown school id 99999999999999999999"),
+        ("[students]\n0,0;-1\n", "student 0: unknown school id -1"),
+        ("[students]\n0,0;x\n1,0\n1,1\n",
+         "line 5: invalid literal for int() with base 10: 'x'"),
+        ("[students]\n0,0\n0,1\n1,0;x\n", "line 6: duplicate student row 0"),
+        ("[students]\n5,8;0\n2,0;9;7\n", "student 2: unknown school id 9"),
+        ("[priorities]\n0,9\n[students]\n0,0;7\n", "student 0: unknown school id 7"),
+        ("[students]\n0,0\n[priorities]\n1,0\n0,0;3\n", "school 0: unknown student id 3"),
+        ("[students]\n0,0;0\n",
+         "invalid market: student 0: duplicate school 0 in preference list"),
+    ])
+    def test_first_error_in_file_order(self, tmp_path, text, message):
+        path = tmp_path / "m.txt"
+        path.write_text("[schools]\n0,1\n1,1\n" + text, encoding="utf-8")
+        with pytest.raises(MarketFormatError) as excinfo:
+            load_market(path)
+        assert str(excinfo.value) == message
+
+    def test_load_matches_loop_loader(self, tmp_path):
+        # market files with a scattering of odd tokens, ids and lines:
+        # the same market, or the same message, as the token-by-token loop
+        rng = np.random.default_rng(41)
+        odd = ["", " ", " 2", "+1", "-1", "01", "1_0", "\u0661", "x", "- 1", "1.0",
+               "99999999999999999999", "1000000000000000000", "999999999999999999"]
+
+        def ids(count):
+            if rng.random() < 0.2:
+                spread = [-3, 0, 1, 2, 5, 10**12, 10**18, 99999999999999999999]
+                return rng.choice(spread, size=count).tolist()
+            return list(range(count))
+
+        def row(owner, items):
+            picks = rng.permutation(items)[: rng.integers(0, len(items) + 1)].tolist()
+            if rng.random() < 0.3:
+                picks = [rng.choice(odd) if rng.random() < 0.3 else x for x in picks]
+            text = ";".join(map(str, picks))
+            return f"{owner},{text}" + (";" if rng.random() < 0.05 else "")
+
+        outcomes = set()
+        for i in range(300):
+            sids, tids = ids(int(rng.integers(0, 5))), ids(int(rng.integers(0, 6)))
+            lines = ["[schools]", *(f"{s},{rng.choice([1, 1, 2, 0])}" for s in sids),
+                     "[students]", *(row(t, sids) for t in tids),
+                     "[priorities]", *(row(s, tids) for s in sids if rng.random() < 0.8)]
+            if rng.random() < 0.1:
+                lines.insert(int(rng.integers(0, len(lines) + 1)),
+                             str(rng.choice(["junk", "3", "a,1", lines[-1]])))
+            path = tmp_path / f"m{i}.txt"
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            try:
+                expected = load_market_by_loops(path)
+            except MarketFormatError as exc:
+                with pytest.raises(MarketFormatError) as excinfo:
+                    load_market(path)
+                assert str(excinfo.value) == str(exc)
+                outcomes.add(str(exc).split(" ", 1)[0])
+            else:
+                assert load_market(path) == expected
+                outcomes.add("loaded")
+        assert {"loaded", "line", "student", "school", "invalid"} <= outcomes
+
+    def test_ids_beyond_int64_load(self, tmp_path):
+        big = 99999999999999999999
+        path = tmp_path / "m.txt"
+        path.write_text(f"[schools]\n0,1\n{big},1\n[students]\n-{big},{big};0\n"
+                        f"[priorities]\n{big},-{big}\n")
+        m = load_market(path)
+        assert m == Market((1, 1), [(1, 0)], [(), (0,)], student_ids=[-big], school_ids=[0, big])
+        save_market(m, tmp_path / "again.txt")
+        assert (tmp_path / "again.txt").read_text() == (f"[schools]\n0,1\n{big},1\n[students]\n"
+                                                        f"-{big},{big};0\n[priorities]\n0,\n"
+                                                        f"{big},-{big}\n")
+
+    def test_undecodable_byte_names_its_line(self, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_bytes(b"[schools]\r\n0,1\r\n[students]\r\n0,0;\xff\r\n")
+        with pytest.raises(MarketFormatError, match=r"^line 4: not UTF-8 text"):
+            load_market(path)
+
+    def test_readme_example_loads(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        example = readme.split("### Market files", 1)[1].split("```\n")[1]
+        path = tmp_path / "m.txt"
+        path.write_text(example, encoding="utf-8")
+        assert load_market(path) == Market((1, 1), [(0, 1), (0,)], [(1, 0), (0, 1)])
 
 
 class TestEffectiveRanks:
