@@ -73,16 +73,15 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _run(args: argparse.Namespace, **fields) -> str:
+    """CSV of the experiment that the shared flags and ``fields`` configure."""
+    config = ExperimentConfig(n=args.n, replications=args.reps, master_seed=args.seed,
+                              mechanisms=args.mechanisms, **fields)
+    return run_experiment(config).to_csv()
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    config = ExperimentConfig(
-        n=args.n,
-        replications=args.reps,
-        master_seed=args.seed,
-        mechanisms=args.mechanisms,
-        thresholds=args.thresholds,
-        market_path=args.market,
-    )
-    _emit(run_experiment(config).to_csv(), args.out)
+    _emit(_run(args, thresholds=args.thresholds, market_path=args.market), args.out)
     return 0
 
 
@@ -96,23 +95,14 @@ def _cmd_manipulate(args: argparse.Namespace) -> int:
         raise ValueError("no shares to run: --shares is empty")
     # every share is checked before the first experiment runs
     manipulations = [Manipulation(args.kind, share) for share in args.shares]
-    blocks = []
-    for i, manipulation in enumerate(manipulations):
-        config = ExperimentConfig(
-            n=args.n,
-            replications=args.reps,
-            master_seed=args.seed,
-            mechanisms=args.mechanisms,
-            manipulation=manipulation,
-        )
-        text = run_experiment(config).to_csv()
-        blocks.append(text if i == 0 else text.split("\n", 1)[1])
-    _emit("".join(blocks), args.out)
+    blocks = [_run(args, manipulation=manipulation) for manipulation in manipulations]
+    _emit(blocks[0] + "".join(block.split("\n", 1)[1] for block in blocks[1:]), args.out)
     return 0
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     _refuse_repeated(args.mechanisms)
+    derive_seed(args.seed)  # refuses a seed outside [0, 2**64)
     market = load_market(args.market)
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
@@ -169,17 +159,10 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction
     commands = parser.add_subparsers(dest="command", required=True)
 
     sim = commands.add_parser("simulate", help="replication experiment on random markets")
-    sim.add_argument("--n", type=int, default=100, help="market size (default %(default)s)")
-    sim.add_argument("--reps", type=int, default=1000, help="replications (default %(default)s)")
-    sim.add_argument("--seed", type=int, default=0, help="master seed (default %(default)s)")
-    sim.add_argument("--mechanisms", type=_mechanism_list, default="RM,TTC,DA",
-                     help="comma list from DA,TTC,RSD,RM (default %(default)s)")
     sim.add_argument("--thresholds", type=_float_list, default=None,
                      help="rank cutoffs (default 1,2,log n,0.1n,0.25n,0.5n for the "
                           "market's n students, each once)")
     sim.add_argument("--market", default=None, help="fixed market file instead of random markets")
-    sim.add_argument("--config", default=None, help="key=value file with defaults for the flags")
-    sim.add_argument("--out", default=None, help="write CSV here instead of stdout")
     sim.set_defaults(func=_cmd_simulate)
 
     man = commands.add_parser("manipulate", help="strategic-reporting experiment across shares")
@@ -187,28 +170,33 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction
                      help="manipulation (default %(default)s)")
     man.add_argument("--shares", type=_float_list, default="0,0.2,0.4,0.6,0.8",
                      help="comma list of shares (default %(default)s)")
-    man.add_argument("--n", type=int, default=100, help="market size (default %(default)s)")
-    man.add_argument("--reps", type=int, default=100, help="replications (default %(default)s)")
-    man.add_argument("--seed", type=int, default=0, help="master seed (default %(default)s)")
-    man.add_argument("--mechanisms", type=_mechanism_list, default="RM,TTC,DA",
-                     help="comma list from DA,TTC,RSD,RM (default %(default)s)")
-    man.add_argument("--config", default=None, help="key=value file with defaults for the flags")
-    man.add_argument("--out", default=None)
     man.set_defaults(func=_cmd_manipulate)
 
     ev = commands.add_parser("evaluate", help="run mechanisms on a market file")
     ev.add_argument("--market", required=True, help="market file path")
-    ev.add_argument("--mechanisms", type=_mechanism_list, default="DA", help="default %(default)s")
-    ev.add_argument("--seed", type=int, default=0, help="master seed (default %(default)s)")
-    ev.add_argument("--out", default=None)
     ev.set_defaults(func=_cmd_evaluate)
+
+    # flags shared by the experiment subcommands, declared once; a loop and
+    # not argparse parents, whose shared actions would share defaults too
+    for sub, reps in ((sim, 1000), (man, 100)):
+        sub.add_argument("--n", type=int, default=100, help="market size (default %(default)s)")
+        sub.add_argument("--reps", type=int, default=reps,
+                         help="replications (default %(default)s)")
+        sub.add_argument("--config", default=None,
+                         help="key=value file with defaults for the flags")
+    for sub, mechanisms in ((sim, "RM,TTC,DA"), (man, "RM,TTC,DA"), (ev, "DA")):
+        sub.add_argument("--seed", type=int, default=0,
+                         help="master seed, in [0, 2**64) (default %(default)s)")
+        sub.add_argument("--mechanisms", type=_mechanism_list, default=mechanisms,
+                         help="comma list from DA,TTC,RSD,RM (default %(default)s)")
 
     orc = commands.add_parser("oracle", help="closed-form reference values")
     orc.add_argument("--check", required=True,
                      help="rsd_envy | rm_envy | rm_pmf | ttc_avg_rank | curves")
     orc.add_argument("--n", type=int, default=1000, help="size argument (default %(default)s)")
-    orc.add_argument("--out", default=None)
     orc.set_defaults(func=_cmd_oracle)
+    for sub in commands.choices.values():
+        sub.add_argument("--out", default=None, help="write CSV here instead of stdout")
     return parser, commands
 
 
@@ -227,12 +215,9 @@ def main(argv: list[str] | None = None) -> int:
             sub.set_defaults(**values)
             args = parser.parse_args(argv)
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ExperimentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ExperimentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 1 if isinstance(exc, ExperimentError) else 2
 
 
 def entry() -> None:

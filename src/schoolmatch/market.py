@@ -553,7 +553,10 @@ def _indices(values: np.ndarray, lengths: np.ndarray, ids: list[int], owners: li
 
 
 def save_market(market: Market, path: str | Path) -> None:
-    """Write ``market`` in the canonical file format (ids ascending)."""
+    """Write ``market`` in the canonical file format (ids ascending).
+    A market that ``validate_market`` flags raises ValueError unwritten."""
+    if problems := validate_market(market):
+        raise ValueError("cannot save an invalid market: " + "; ".join(problems))
     out = ["[schools]", *(f"{sid},{cap}" for sid, cap in zip(market.school_ids, market.capacities))]
     for header, owners, lists, ids in (
         ("[students]", market.student_ids, market.prefs, market.school_ids),

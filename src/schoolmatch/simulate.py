@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from schoolmatch.market import Allocation, Market, effective_ranks, load_market
-from schoolmatch.mechanisms import MECHANISMS, rank_minimizing, run_mechanism
+from schoolmatch.mechanisms import MECHANISMS, run_mechanism
 from schoolmatch.metrics import RankStats, rank_stats, threshold_shares
 
 __all__ = [
@@ -60,7 +60,10 @@ def derive_seed(seed: int, *indices: int) -> int:
 
     derive_seed(s, i) is the i-th output of the splitmix64 stream
     seeded with s; extra indices nest streams (replication, substream).
+    A seed outside [0, 2**64) raises ValueError; derive_seed(s) checks s.
     """
+    if not 0 <= seed <= _MASK64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     s = seed & _MASK64
     for i in indices:
         s = _mix64((s + (i + 1) * _GAMMA) & _MASK64)
@@ -175,8 +178,9 @@ class ExperimentConfig:
     set, the same file-loaded market is used in every replication and
     only the mechanism randomness varies.  Thresholds of None stand for
     the default cutoffs 1, 2, ln n, n/10, n/4 and n/2, each once, where
-    n is the number of students in the market (read from the file when
-    market_path is set).
+    n is the number of students in the market.  The report's config is
+    the record of the run: its n is the file's student count when
+    market_path is set, and its thresholds are the cutoffs used.
     """
 
     n: int
@@ -195,8 +199,7 @@ class ExperimentConfig:
             raise ValueError("n must be at least 1")
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
-        if self.master_seed < 0:
-            raise ValueError("master_seed must be a nonnegative 64-bit integer")
+        derive_seed(self.master_seed)  # refuses a seed outside [0, 2**64)
         unknown = [m for m in self.mechanisms if m not in MECHANISMS]
         if unknown:
             raise ValueError(f"unknown mechanisms {unknown}; choose from {sorted(MECHANISMS)}")
@@ -254,7 +257,6 @@ class ExperimentReport:
     """Experiment output: one MechanismSummary per mechanism label."""
 
     config: ExperimentConfig
-    n: int
     summaries: dict[str, MechanismSummary]
 
     def to_csv(self) -> str:
@@ -265,7 +267,7 @@ class ExperimentReport:
         for summary in self.summaries.values():
             base = [
                 summary.label,
-                str(self.n),
+                str(self.config.n),
                 str(self.config.replications),
                 _fmt(summary.mean),
                 _fmt(summary.se_mean),
@@ -317,22 +319,18 @@ def _replicate(config: ExperimentConfig, fixed: Market | None, r: int) -> dict[s
     seed = config.master_seed
     market = fixed or generate_uniform_market(config.n, derive_seed(seed, r, _TAG_MARKET))
     rm_seed = derive_seed(seed, r, _TAG_RM)
-    rsd_seed = derive_seed(seed, r, _TAG_RSD)
+    rsd_seed = derive_seed(seed, r, _TAG_RSD)  # DA and TTC ignore their seed
+    runs: dict[str, Allocation] = {}
     rows: dict[str, list[float]] = {}
-    rm_alloc: Allocation | None = None
     for mech in config.mechanisms:
-        if mech == "RM":
-            alloc = rm_alloc = rank_minimizing(market, rm_seed)
-        else:
-            alloc = run_mechanism(mech, market, rsd_seed)
-        rows[mech] = _row(rank_stats(market, alloc), config.thresholds)
+        runs[mech] = run_mechanism(mech, market, rm_seed if mech == "RM" else rsd_seed)
+        rows[mech] = _row(rank_stats(market, runs[mech]), config.thresholds)
     manipulation = config.manipulation
     if manipulation is not None:
-        if rm_alloc is None:
-            rm_alloc = rank_minimizing(market, rm_seed)
-        manipulated = apply_manipulation(market, rm_alloc, manipulation.kind, manipulation.share,
+        truthful = runs["RM"] if "RM" in runs else run_mechanism("RM", market, rm_seed)
+        manipulated = apply_manipulation(market, truthful, manipulation.kind, manipulation.share,
                                          derive_seed(seed, r, _TAG_MANIPULATION))
-        re_run = rank_minimizing(manipulated, rm_seed)
+        re_run = run_mechanism("RM", manipulated, rm_seed)
         rows[manipulation.label] = _row(rank_stats(market, re_run), config.thresholds)
     return rows
 
@@ -347,9 +345,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     ORIGINAL preferences and priorities.
     """
     fixed = load_market(config.market_path) if config.market_path else None
-    n_market = fixed.n_students if fixed else config.n
+    if fixed:
+        config = replace(config, n=fixed.n_students)
     if config.thresholds is None:
-        config = replace(config, thresholds=_default_thresholds(n_market))
+        config = replace(config, thresholds=_default_thresholds(config.n))
     rows: dict[str, list[list[float]]] = {m: [] for m in config.mechanisms}
     if config.manipulation is not None:
         rows[config.manipulation.label] = []
@@ -362,4 +361,4 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             raise ExperimentError(f"replication {r}: {exc}") from exc
 
     summaries = {label: _summarize(label, r) for label, r in rows.items()}
-    return ExperimentReport(config=config, n=n_market, summaries=summaries)
+    return ExperimentReport(config=config, summaries=summaries)

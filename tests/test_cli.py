@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from schoolmatch.cli import main
+from schoolmatch.cli import _build_parser, main
 from schoolmatch.market import save_market
 from schoolmatch.simulate import CSV_HEADER, generate_uniform_market
 
@@ -57,6 +57,65 @@ def test_simulate_config_file(tmp_path, capsys):
     # explicit flags win over the config file
     code, out, _ = run_cli(capsys, "simulate", "--config", str(cfg), "--reps", "2")
     assert all(line.startswith("RM,10,2,") for line in out.strip().split("\n")[1:])
+
+
+def test_manipulate_config_file(tmp_path, capsys):
+    flags = ["--n", "8", "--reps", "3", "--seed", "4", "--mechanisms", "RM,DA",
+             "--kind", "drop_first", "--shares", "0,0.5"]
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("n=8\nreps=3\nseed=4\nmechanisms=RM,DA\nkind=drop_first\nshares=0,0.5\n")
+    code, from_flags, _ = run_cli(capsys, "manipulate", *flags)
+    assert code == 0 and from_flags.startswith(CSV_HEADER + "\nRM,8,3,")
+    code, from_config, _ = run_cli(capsys, "manipulate", "--config", str(cfg))
+    assert code == 0 and from_config == from_flags
+    # explicit flags win over the config file
+    code, from_config, _ = run_cli(capsys, "manipulate", "--config", str(cfg), "--shares", "1")
+    _, from_flags, _ = run_cli(capsys, "manipulate", *flags[:-1], "1")
+    assert code == 0 and from_config == from_flags
+    assert from_flags.split("\n")[-2].startswith("RM[drop_first=1],8,3,")
+
+
+@pytest.mark.parametrize("argv, defaults", [
+    pytest.param(["simulate"], dict(n=100, reps=1000, seed=0, mechanisms=("RM", "TTC", "DA"),
+                                    thresholds=None, market=None), id="simulate"),
+    pytest.param(["manipulate"], dict(n=100, reps=100, seed=0, mechanisms=("RM", "TTC", "DA"),
+                                      kind="drop_assigned", shares=(0, 0.2, 0.4, 0.6, 0.8)),
+                 id="manipulate"),
+    pytest.param(["evaluate", "--market", "m.txt"], dict(seed=0, mechanisms=("DA",), market="m.txt"),
+                 id="evaluate"),
+])
+def test_experiment_flag_defaults(argv, defaults):
+    # each subcommand keeps its own defaults for the flags they share
+    parser, _ = _build_parser()
+    parsed = {**vars(parser.parse_args(argv))}
+    assert parsed.pop("command") == argv[0]
+    assert parsed.pop("func").__name__ == f"_cmd_{argv[0]}"
+    assert parsed.pop("out") is None
+    if argv[0] != "evaluate":
+        assert parsed.pop("config") is None
+    assert parsed == defaults
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+@pytest.mark.parametrize("command", ["simulate", "manipulate", "evaluate"])
+def test_seed_outside_64_bits_exits_2(tmp_path, capsys, command, seed):
+    # one rule for every subcommand: a seed of 2**64 would alias seed 0
+    market = str(Path(__file__).parent / "data" / "small_market.txt")
+    argv = ["--market", market] if command == "evaluate" else ["--n", "6", "--reps", "2"]
+    out_file = tmp_path / "out.csv"
+    code, out, err = run_cli(capsys, command, *argv, "--seed", str(seed), "--out", str(out_file))
+    assert code == 2 and out == ""
+    assert err == f"error: seed must lie in [0, 2**64), got {seed}\n"
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "manipulate", "evaluate"])
+def test_largest_seed_runs(capsys, command):
+    market = str(Path(__file__).parent / "data" / "small_market.txt")
+    argv = ["--market", market] if command == "evaluate" else ["--n", "6", "--reps", "2"]
+    code, out, err = run_cli(capsys, command, *argv, "--seed", str(2**64 - 1))
+    assert code == 0 and err == ""
+    assert out.startswith("mechanism,")
 
 
 @pytest.mark.parametrize("line, message", [

@@ -213,6 +213,21 @@ class TestMarketFiles:
             save_market(m, path)
             assert load_market(path) == m
 
+    @pytest.mark.parametrize("fields, message", [
+        pytest.param(dict(capacities=(1, 1), student_ids=(7, 3)),
+                     "student_ids must be strictly increasing", id="unsorted_ids"),
+        pytest.param(dict(capacities=(0, 2)),
+                     "school 0: capacity must be at least 1, got 0", id="zero_capacity"),
+    ])
+    def test_save_refuses_invalid_market(self, tmp_path, fields, message):
+        # such a file would load back reordered, or not load at all
+        m = Market(prefs=((0, 1), (1, 0)), priorities=((0, 1), (1, 0)), **fields)
+        assert validate_market(m) == [message]
+        path = tmp_path / "m.txt"
+        with pytest.raises(ValueError, match=rf"^cannot save an invalid market: {message}$"):
+            save_market(m, path)
+        assert not path.exists()
+
     @pytest.mark.parametrize("ragged", [False, True])
     def test_load_save_identity_at_scale(self, tmp_path, ragged):
         # 600 students ranking 8 of 150 four-seat schools, every school

@@ -37,6 +37,19 @@ class TestDeriveSeed:
     def test_stays_in_64_bits(self):
         for r in range(100):
             assert 0 <= derive_seed(2**64 - 1, r) < 2**64
+        # the largest seed is accepted, and a bare seed comes back as it is
+        assert derive_seed(2**64 - 1) == 2**64 - 1
+        assert ExperimentConfig(n=5, replications=1, master_seed=2**64 - 1).master_seed == 2**64 - 1
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
+    def test_refuses_seed_outside_64_bits(self, seed):
+        # 2**64 + 5 would alias seed 5
+        message = rf"seed must lie in \[0, 2\*\*64\), got {seed}$"
+        for indices in ((), (0,), (3, 1)):
+            with pytest.raises(ValueError, match=message):
+                derive_seed(seed, *indices)
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(n=5, replications=1, master_seed=seed)
 
 
 class TestGenerateUniformMarket:
@@ -254,10 +267,13 @@ class TestRunExperiment:
             replications=4,
             master_seed=0,
             mechanisms=("DA",),
+            thresholds=None,  # the default cutoffs, for the file's n
             market_path=str(path),
         )
         report = run_experiment(config)
-        assert report.n == 6
+        assert report.config.n == 6
+        # the report's config records the cutoffs used: those of 6 students
+        assert report.config.thresholds == pytest.approx((1, 2, math.log(6), 0.6, 1.5, 3))
         # DA deterministic: identical stats in every replication
         assert np.ptp(report.summaries["DA"].per_rep_mean) == 0.0
 
