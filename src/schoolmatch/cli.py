@@ -26,7 +26,7 @@ from schoolmatch.simulate import (
     ExperimentConfig,
     ExperimentError,
     Manipulation,
-    _refuse_repeated,
+    _check_mechanisms,
     derive_seed,
     run_experiment,
 )
@@ -101,7 +101,7 @@ def _cmd_manipulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    _refuse_repeated(args.mechanisms)
+    _check_mechanisms(args.mechanisms)
     derive_seed(args.seed)  # refuses a seed outside [0, 2**64)
     market = load_market(args.market)
     out = io.StringIO()
@@ -118,6 +118,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _oracle_rows(check: str, n: int):
+    if check in ("rm_envy", "rm_pmf") and n < 1:  # their values do not read n, their rows do
+        raise ValueError("n must be at least 1")
     if check == "rsd_envy":
         value = theory.rsd_no_envy_fraction(n)
         yield check, n, value, (

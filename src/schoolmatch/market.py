@@ -225,11 +225,6 @@ class Market:
         return sum(self.capacities)
 
     @property
-    def is_balanced(self) -> bool:
-        """Total capacity equals the number of students."""
-        return self.total_seats == self.n_students
-
-    @property
     def has_full_lists(self) -> bool:
         """Every student ranks every school."""
         return bool((self.list_lengths == self.n_schools).all())

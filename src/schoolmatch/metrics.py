@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from schoolmatch.market import UNASSIGNED, Allocation, Market, effective_ranks
+from schoolmatch.market import UNASSIGNED, Allocation, Market, effective_ranks, validate_allocation
 
 __all__ = [
     "RankStats",
@@ -78,11 +78,8 @@ def justified_envy(market: Market, allocation: Allocation) -> set[int]:
 
 def _envious(market: Market, a: np.ndarray, eff: np.ndarray) -> np.ndarray:
     """(n,) mask of the students with justified envy, given the
-    assignment array ``a`` and its effective ranks ``eff``.
-
-    A student can only envy a school they rank above their own, so only
-    the (student, school) pairs ``pref_array[t, :eff[t] - 1]`` are
-    gathered, with ``np.repeat``, and tested for a claim on the school."""
+    assignment array ``a`` and its effective ranks ``eff``: the
+    ``_preferred`` pairs whose school would take the student."""
     n, m = market.n_students, market.n_schools
     prio = market.priority_table
     assigned_students = np.nonzero(a >= 0)[0]
@@ -95,14 +92,20 @@ def _envious(market: Market, a: np.ndarray, eff: np.ndarray) -> np.ndarray:
     filled = np.bincount(assigned_schools, minlength=m)
     cutoff = np.where(filled < np.asarray(market.capacities), n + 1, cutoff)
 
-    # a seat at a school the student never ranked leaves every listed one above it
-    above = np.minimum(eff - 1, market.list_lengths)
-    students = np.repeat(np.arange(n), above)
-    starts = np.cumsum(above) - above
-    schools = market.pref_array[students, np.arange(students.size) - np.repeat(starts, above)]
+    students, schools = _preferred(market, eff)
     envious = np.zeros(n, dtype=bool)
     envious[students[prio[schools, students] < cutoff[schools]]] = True
     return envious
+
+
+def _preferred(market: Market, eff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (student, school) pairs ``pref_array[t, :eff[t] - 1]``, in which
+    the student ranks the school above their own seat, in student order."""
+    # a seat at a school the student never ranked leaves every listed one above it
+    above = np.minimum(eff - 1, market.list_lengths)
+    students = np.repeat(np.arange(market.n_students), above)
+    starts = np.cumsum(above) - above
+    return students, market.pref_array[students, np.arange(students.size) - np.repeat(starts, above)]
 
 
 @dataclass(frozen=True)
@@ -117,58 +120,57 @@ class ParetoCheck:
 
 
 def is_pareto_optimal(market: Market, allocation: Allocation) -> ParetoCheck:
-    """Student-side Pareto optimality on a balanced full-list market.
+    """Student-side Pareto optimality of any allocation that
+    ``validate_allocation`` accepts, with partial lists, spare seats and
+    unassigned students; any other raises ValueError with its first problem.
 
-    A dominating allocation exists iff the directed graph where each
-    student points to the holders of schools they strictly prefer has a
-    cycle; rotating assignments along such a cycle strictly improves
-    every member and leaves everyone else untouched, which also yields
-    the witness.
+    Optimal allocations are the serial-dictatorship outcomes (Abdulkadiroglu
+    and Sonmez 1998): students pick in turn, each once every school they
+    prefer to their seat has all its seats held by picked students, and the
+    allocation is optimal iff everyone picks.  Otherwise the witness walks
+    from the lowest-index student left to their first school with a seat
+    left, then to its lowest-index holder left, and so on to a free seat or
+    round a cycle; each student on the walk or cycle moves up a step.
     """
-    if not market.has_full_lists:
-        raise ValueError("requires full lists")
-    if not market.is_balanced:
-        raise ValueError("requires a balanced market")
+    if problems := validate_allocation(market, allocation):
+        raise ValueError(problems[0])
     a = allocation.assignment_array
-    if (a < 0).any():
-        raise ValueError("requires a fully assigned allocation")
-    n = market.n_students
-    ranks = market.rank_table
-    own = ranks[np.arange(n), a]
-    # improves[t, t2]: t strictly prefers t2's school to their own.
-    improves = ranks[:, a] < own[:, None]
+    eff = effective_ranks(market, allocation)
+    students, schools = _preferred(market, eff)
+    left = np.array(market.capacities)  # per school, the seats no picked student holds
+    free = np.bincount(a[a >= 0], minlength=len(left)) < left
+    count = np.bincount(students[left[schools] > 0], minlength=len(a))
+    fans = np.split(students[np.argsort(schools, kind="stable")],  # per school, who prefers it
+                    np.cumsum(np.bincount(schools, minlength=len(left)))[:-1])
+    picked = np.zeros(len(a), dtype=bool)
+    pickers = np.flatnonzero(count == 0)
+    while pickers.size:
+        picked[pickers] = True
+        seats = a[pickers][a[pickers] >= 0]
+        np.subtract.at(left, seats, 1)
+        hit = np.concatenate([students[:0], *(fans[s] for s in np.unique(seats[left[seats] == 0]))])
+        np.subtract.at(count, hit, 1)
+        pickers = np.unique(hit[count[hit] == 0])
+    if picked.all():
+        return ParetoCheck(True)
 
-    color = np.zeros(n, dtype=np.int8)  # 0 new, 1 on stack, 2 done
-    for start in range(n):
-        if color[start]:
-            continue
-        stack = [(start, iter(np.nonzero(improves[start])[0]))]
-        color[start] = 1
-        while stack:
-            node, targets = stack[-1]
-            for t2 in targets:
-                t2 = int(t2)
-                if color[t2] == 1:
-                    path = [t for t, _ in stack]
-                    cycle = path[path.index(t2):]
-                    rotated = a.copy()
-                    rotated[cycle] = a[np.roll(cycle, -1)]
-                    return ParetoCheck(False, Allocation(rotated))
-                if color[t2] == 0:
-                    color[t2] = 1
-                    stack.append((t2, iter(np.nonzero(improves[t2])[0])))
-                    break
-            else:
-                color[node] = 2
-                stack.pop()
-    return ParetoCheck(True)
+    walk: dict[int, int] = {}  # student -> the school they point to
+    t = int(np.argmin(picked))
+    while t not in walk:
+        options = market.pref_array[t, :eff[t] - 1]
+        walk[t] = s = int(options[np.argmax(left[options] > 0)])
+        if free[s]:
+            break
+        t = int(np.argmax((a == s) & ~picked))
+    else:  # keep the cycle only
+        walk = dict(list(walk.items())[list(walk).index(t):])
+    improved = a.copy()
+    improved[list(walk)] = list(walk.values())
+    return ParetoCheck(False, Allocation(improved))
 
 
 def threshold_shares(stats: RankStats, thresholds) -> list[float]:
     """For each cutoff m, the share of students with effective rank > m."""
     n = stats.n_students
-    shares = []
-    for m in thresholds:
-        above = sum(c for r, c in stats.histogram.items() if r > m)
-        shares.append(above / n if n else 0.0)
-    return shares
+    return [sum(c for r, c in stats.histogram.items() if r > m) / n if n else 0.0
+            for m in thresholds]

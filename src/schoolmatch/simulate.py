@@ -161,11 +161,17 @@ def apply_manipulation(
     return market._replace(pref_array=prefs)
 
 
-def _refuse_repeated(mechanisms: tuple[str, ...]) -> None:
-    """Raise ValueError naming every mechanism listed more than once."""
+def _check_mechanisms(mechanisms: tuple[str, ...], manipulation: Manipulation | None = None) -> None:
+    """Raise ValueError naming every unknown mechanism, or else every one
+    listed more than once, or when there is nothing to run."""
+    unknown = [m for m in mechanisms if m not in MECHANISMS]
+    if unknown:
+        raise ValueError(f"unknown mechanisms {unknown}; choose from {sorted(MECHANISMS)}")
     repeated = sorted({m for m in mechanisms if mechanisms.count(m) > 1})
     if repeated:
         raise ValueError(f"repeated mechanisms {repeated}; name each once")
+    if not mechanisms and manipulation is None:
+        raise ValueError("nothing to run: no mechanisms and no manipulation")
 
 
 @dataclass(frozen=True)
@@ -200,12 +206,7 @@ class ExperimentConfig:
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
         derive_seed(self.master_seed)  # refuses a seed outside [0, 2**64)
-        unknown = [m for m in self.mechanisms if m not in MECHANISMS]
-        if unknown:
-            raise ValueError(f"unknown mechanisms {unknown}; choose from {sorted(MECHANISMS)}")
-        _refuse_repeated(self.mechanisms)
-        if not self.mechanisms and self.manipulation is None:
-            raise ValueError("nothing to run: no mechanisms and no manipulation")
+        _check_mechanisms(self.mechanisms, self.manipulation)
 
 
 def _row(stats: RankStats, cutoffs: tuple[float, ...]) -> list[float]:

@@ -17,7 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from schoolmatch.assignment import AssignmentResult, InfeasibleAssignmentError
-from schoolmatch.market import UNASSIGNED, Allocation, Market, MarketFormatError, validate_market
+from schoolmatch.market import (
+    UNASSIGNED, Allocation, Market, MarketFormatError, validate_allocation, validate_market,
+)
 
 
 def all_full_allocations(market: Market):
@@ -54,7 +56,54 @@ def dominates(market: Market, x: Allocation, y: Allocation) -> bool:
 
 
 def pareto_optimal_by_enumeration(market: Market, allocation: Allocation) -> bool:
-    return not any(dominates(market, x, allocation) for x in all_full_allocations(market))
+    """No feasible allocation dominates ``allocation``.  Enumerates every
+    allocation in which each student holds a school on their list or
+    none and is no worse off than under ``allocation`` (only those can
+    dominate it), keeping those that ``validate_allocation`` accepts."""
+    lists = [(*prefs, UNASSIGNED) for prefs in market.prefs]
+    options = [row[:row.index(s) + 1] for row, s in zip(lists, allocation.assignment)]
+    candidates = (Allocation(choice) for choice in itertools.product(*options))
+    return not any(dominates(market, x, allocation)
+                   for x in candidates if not validate_allocation(market, x))
+
+
+def pareto_optimal_by_cycle_search(market: Market, allocation: Allocation) -> bool:
+    """Pareto optimality on a balanced full-list market with everyone
+    assigned, by depth-first search for a cycle in the graph where each
+    student points to the holders of the schools they strictly prefer:
+    rotating seats along such a cycle improves every member."""
+    if not market.has_full_lists:
+        raise ValueError("requires full lists")
+    if market.total_seats != market.n_students:
+        raise ValueError("requires a balanced market")
+    a = allocation.assignment_array
+    if (a < 0).any():
+        raise ValueError("requires a fully assigned allocation")
+    n = market.n_students
+    ranks = market.rank_table
+    own = ranks[np.arange(n), a]
+    # improves[t, t2]: t strictly prefers t2's school to their own.
+    improves = ranks[:, a] < own[:, None]
+
+    color = np.zeros(n, dtype=np.int8)  # 0 new, 1 on stack, 2 done
+    for start in range(n):
+        if color[start]:
+            continue
+        stack = [(start, iter(np.nonzero(improves[start])[0]))]
+        color[start] = 1
+        while stack:
+            node, targets = stack[-1]
+            for t2 in targets:
+                if color[t2] == 1:
+                    return False
+                if color[t2] == 0:
+                    color[t2] = 1
+                    stack.append((t2, iter(np.nonzero(improves[t2])[0])))
+                    break
+            else:
+                color[node] = 2
+                stack.pop()
+    return True
 
 
 def envious_by_definition(market: Market, allocation: Allocation) -> set[int]:

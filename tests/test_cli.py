@@ -258,6 +258,19 @@ def test_oracle_unknown_check(capsys):
     assert "unknown check" in err
 
 
+@pytest.mark.parametrize("check, least", [
+    pytest.param(check, least, id=check) for check, least in
+    [("rsd_envy", 1), ("ttc_avg_rank", 1), ("rm_pmf", 1), ("rm_envy", 1), ("curves", 2)]
+])
+@pytest.mark.parametrize("n", ["0", "-5"])
+def test_oracle_refuses_n_below_1(tmp_path, capsys, check, least, n):
+    out_file = tmp_path / "oracle.csv"
+    code, out, err = run_cli(capsys, "oracle", "--check", check, "--n", n, "--out", str(out_file))
+    assert code == 2 and out == ""
+    assert err == f"error: n must be at least {least}\n"
+    assert not out_file.exists()
+
+
 def test_oracle_curves(capsys):
     code, out, _ = run_cli(capsys, "oracle", "--check", "curves", "--n", "100")
     assert code == 0
@@ -287,6 +300,14 @@ def test_evaluate_repeated_mechanism_exits_2(capsys):
     code, out, err = run_cli(capsys, "evaluate", "--market", str(path), "--mechanisms", "DA,DA")
     assert code == 2 and out == ""
     assert err == "error: repeated mechanisms ['DA']; name each once\n"
+
+
+@pytest.mark.parametrize("command", ["simulate", "evaluate"])
+def test_no_mechanisms_exits_2(capsys, command):
+    market = Path(__file__).parent / "data" / "small_market.txt"
+    code, out, err = run_cli(capsys, command, "--market", str(market), "--mechanisms", "")
+    assert code == 2 and out == ""
+    assert err == "error: nothing to run: no mechanisms and no manipulation\n"
 
 
 def test_bad_mechanism_exits_2(capsys):

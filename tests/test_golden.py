@@ -8,8 +8,12 @@ regenerate a golden after a deliberate change to the output, run the
 case's arguments through ``python -m schoolmatch.cli`` from the
 repository root and redirect stdout into the file, then say in the
 change log which rows moved and why.
+
+The mechanism tour demo's stdout, which prints the Pareto verdicts and
+DA's dominating witness, has a golden too: ``demo_mechanism_tour.txt``.
 """
 
+import runpy
 from pathlib import Path
 
 import pytest
@@ -53,3 +57,9 @@ def test_cli_stdout_matches_golden(golden, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.err == ""
     assert captured.out == (DATA / golden).read_text(encoding="utf-8")
+
+
+def test_mechanism_tour_demo_matches_golden(capsys):
+    runpy.run_path(str(DATA.parent.parent / "demos" / "01_mechanism_tour.py"), run_name="__main__")
+    captured = capsys.readouterr()
+    assert captured.out == (DATA / "demo_mechanism_tour.txt").read_text(encoding="utf-8")

@@ -14,13 +14,15 @@ from schoolmatch.mechanisms import (
     serial_dictatorship,
     top_trading_cycles,
 )
-from schoolmatch.market import effective_ranks, validate_market
-from schoolmatch.metrics import rank_stats
+from schoolmatch.market import effective_ranks, validate_allocation, validate_market
+from schoolmatch.metrics import is_pareto_optimal, rank_stats
 from schoolmatch.simulate import generate_uniform_market
 
 from oracles import (
     brute_force_assignment,
+    dominates,
     pareto_optimal_by_enumeration,
+    random_market_lists,
     ranks_by_definition,
     stable_matchings,
 )
@@ -253,6 +255,34 @@ class TestCrossMechanismProperties:
             m = generate_uniform_market(n, int(rng.integers(0, 2**32)))
             assert pareto_optimal_by_enumeration(m, top_trading_cycles(m))
             assert pareto_optimal_by_enumeration(m, rank_minimizing(m, int(rng.integers(0, 2**32))))
+
+    def test_rsd_rm_and_full_priority_ttc_pareto_optimal(self):
+        # partial and empty lists, capacities 1-3, unbalanced sizes.  TTC
+        # never seats a student at a school that does not rank them, so
+        # only with full priority lists is it Pareto optimal.
+        rng = np.random.default_rng(27)
+        ttc_dominated = 0
+        for i in range(400):
+            caps, prefs, prios = random_market_lists(rng)
+            m = Market(capacities=caps, prefs=prefs, priorities=prios)
+            assert is_pareto_optimal(m, random_serial_dictatorship(m, i))
+            assert is_pareto_optimal(m, rank_minimizing(m, i))
+            ttc = top_trading_cycles(m)
+            check = is_pareto_optimal(m, ttc)
+            if not check:
+                ttc_dominated += 1
+                assert validate_allocation(m, check.witness) == []
+                assert dominates(m, check.witness, ttc)
+            full = Market(capacities=caps, prefs=prefs,
+                          priorities=[rng.permutation(len(prefs)) for _ in caps])
+            assert is_pareto_optimal(full, top_trading_cycles(full))
+        assert ttc_dominated > 100
+
+    def test_ttc_dominated_when_a_school_ranks_nobody(self):
+        m = Market(capacities=(1,), prefs=((0,),), priorities=((),))
+        check = is_pareto_optimal(m, top_trading_cycles(m))
+        assert top_trading_cycles(m) == Allocation((UNASSIGNED,))
+        assert not check and check.witness == Allocation((0,))
 
     def test_best_off_student_has_rank_one(self):
         # in any Pareto optimal allocation someone gets their top choice

@@ -1,10 +1,16 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from schoolmatch.market import UNASSIGNED, Allocation, Market
-from schoolmatch.mechanisms import deferred_acceptance, top_trading_cycles
+from schoolmatch.market import UNASSIGNED, Allocation, Market, validate_allocation
+from schoolmatch.mechanisms import (
+    deferred_acceptance,
+    random_serial_dictatorship,
+    rank_minimizing,
+    top_trading_cycles,
+)
 from schoolmatch.metrics import (
     is_pareto_optimal,
     justified_envy,
@@ -16,10 +22,24 @@ from schoolmatch.simulate import generate_uniform_market
 from oracles import (
     dominates,
     envious_by_definition,
+    pareto_optimal_by_cycle_search,
     pareto_optimal_by_enumeration,
     random_market_lists,
     ranks_by_definition,
 )
+
+
+def random_feasible_allocation(rng, caps, prefs) -> Allocation:
+    """Students in random order each take, with probability 0.8, a random
+    listed school with a seat left, and otherwise stay unassigned."""
+    seats = list(caps)
+    assignment = [UNASSIGNED] * len(prefs)
+    for t in rng.permutation(len(prefs)).tolist():
+        open_ = [s for s in prefs[t] if seats[s] > 0]
+        if open_ and rng.random() < 0.8:
+            assignment[t] = int(rng.choice(open_))
+            seats[assignment[t]] -= 1
+    return Allocation(assignment)
 
 
 def market_3x3():
@@ -106,14 +126,8 @@ class TestJustifiedEnvy:
         for _ in range(300):
             caps, prefs, prios = random_market_lists(rng)
             m = Market(capacities=caps, prefs=prefs, priorities=prios)
-            seats = list(caps)
-            assignment = [UNASSIGNED] * len(prefs)
-            for t in rng.permutation(len(prefs)).tolist():
-                open_ = [s for s in prefs[t] if seats[s] > 0]
-                if open_ and rng.random() < 0.8:
-                    assignment[t] = int(rng.choice(open_))
-                    seats[assignment[t]] -= 1
-            alloc = Allocation(assignment)
+            alloc = random_feasible_allocation(rng, caps, prefs)
+            assignment = list(alloc.assignment)
             expected = envious_by_definition(m, alloc)
             assert justified_envy(m, alloc) == expected
             envious += bool(expected)
@@ -161,8 +175,6 @@ class TestJustifiedEnvy:
 def test_envy_separates_mechanisms():
     # RM and TTC each produce envy on a decent fraction of random
     # instances; DA never does
-    from schoolmatch.mechanisms import rank_minimizing
-
     rng = np.random.default_rng(36)
     rm_hits = ttc_hits = 0
     for i in range(50):
@@ -195,15 +207,46 @@ class TestParetoCheck:
         )
         assert is_pareto_optimal(m, Allocation((0, 1)))
 
-    def test_partial_lists_rejected(self):
+    def test_partial_lists(self):
+        # student 0 lists school 0 only; student 1 prefers it to school 1
         m = Market(capacities=(1, 1), prefs=((0,), (0, 1)), priorities=((0, 1), (0, 1)))
-        with pytest.raises(ValueError, match="full lists"):
-            is_pareto_optimal(m, Allocation((0, 1)))
+        for seats, optimal, witness in [
+            ((0, 1), True, None),
+            ((UNASSIGNED, 0), True, None),  # seating 0 would unseat 1's first choice
+            ((UNASSIGNED, 1), False, (0, 1)),  # 0 takes the free seat
+            ((UNASSIGNED, UNASSIGNED), False, (0, UNASSIGNED)),
+        ]:
+            check = is_pareto_optimal(m, Allocation(seats))
+            assert bool(check) == optimal == pareto_optimal_by_enumeration(m, Allocation(seats))
+            assert check.witness == (witness and Allocation(witness))
 
-    def test_unbalanced_rejected(self):
+    def test_unbalanced_market(self):
         m = Market(capacities=(2, 1), prefs=((0, 1), (0, 1)), priorities=((0, 1), (0, 1)))
-        with pytest.raises(ValueError, match="balanced"):
-            is_pareto_optimal(m, Allocation((0, 1)))
+        check = is_pareto_optimal(m, Allocation((0, 1)))
+        assert not check and not pareto_optimal_by_enumeration(m, Allocation((0, 1)))
+        assert check.witness == Allocation((0, 0))  # school 0's spare seat
+        assert is_pareto_optimal(m, Allocation((0, 0)))
+
+    def test_improvement_cycle_through_a_shared_school(self):
+        # students 0 and 1 hold the two seats of school 0 and each prefers
+        # school 1, held by student 2, who prefers school 0: the witness
+        # rotates 0 and 2, the lowest-index holder of each school
+        m = Market(capacities=(2, 1), prefs=((1, 0), (1, 0), (0, 1)),
+                   priorities=((0, 1, 2), (0, 1, 2)))
+        check = is_pareto_optimal(m, Allocation((0, 0, 1)))
+        assert not check and not pareto_optimal_by_enumeration(m, Allocation((0, 0, 1)))
+        assert check.witness == Allocation((1, 0, 0))
+
+    @pytest.mark.parametrize("seats, message", [
+        pytest.param((0, 0), "school 0: 2 students assigned, capacity 1", id="over_capacity"),
+        pytest.param((1, 0), "student 0: assigned school 1 they never ranked", id="unranked_seat"),
+        pytest.param((0,), "allocation covers 1 students, market has 2", id="wrong_length"),
+    ])
+    def test_infeasible_allocation_refused(self, seats, message):
+        m = Market(capacities=(1, 1), prefs=((0,), (0, 1)), priorities=((0, 1), (0, 1)))
+        assert validate_allocation(m, Allocation(seats))[0] == message
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            is_pareto_optimal(m, Allocation(seats))
 
     def test_agrees_with_enumeration(self):
         rng = np.random.default_rng(34)
@@ -232,6 +275,60 @@ class TestParetoCheck:
             if not check:
                 assert dominates(m, check.witness, alloc)
 
+
+    def test_agrees_with_enumeration_over_the_whole_input_space(self):
+        # partial and empty lists, capacities 1-3, unbalanced sizes, and
+        # feasible allocations that leave students unassigned or seats spare
+        rng = np.random.default_rng(37)
+        optimal = dominated = 0
+        for _ in range(1000):
+            caps, prefs, prios = random_market_lists(rng, max_students=5, max_schools=4)
+            m = Market(capacities=caps, prefs=prefs, priorities=prios)
+            for alloc in (random_feasible_allocation(rng, caps, prefs), deferred_acceptance(m)):
+                check = is_pareto_optimal(m, alloc)
+                assert bool(check) == pareto_optimal_by_enumeration(m, alloc)
+                if check:
+                    optimal += 1
+                else:
+                    dominated += 1
+                    assert validate_allocation(m, check.witness) == []
+                    assert dominates(m, check.witness, alloc)
+        assert min(optimal, dominated) > 500, (optimal, dominated)
+
+    def test_agrees_with_cycle_search_on_balanced_full_lists(self):
+        rng = np.random.default_rng(38)
+        optimal = dominated = 0
+        for n in (2, 3, 5, 10, 30, 100, 200):
+            for _ in range(4):
+                m = generate_uniform_market(n, int(rng.integers(0, 2**32)))
+                seed = int(rng.integers(0, 2**32))
+                ttc = top_trading_cycles(m).assignment_array
+                pair = rng.choice(n, size=2, replace=False)
+                swapped = ttc.copy()
+                swapped[pair] = ttc[pair[::-1]]  # an optimal allocation, two seats exchanged
+                for alloc in (
+                    Allocation(ttc),
+                    rank_minimizing(m, seed),
+                    random_serial_dictatorship(m, seed),
+                    deferred_acceptance(m),
+                    Allocation(rng.permutation(n)),
+                    Allocation(swapped),
+                ):
+                    check = is_pareto_optimal(m, alloc)
+                    assert bool(check) == pareto_optimal_by_cycle_search(m, alloc)
+                    if check:
+                        optimal += 1
+                    else:
+                        dominated += 1
+                        assert validate_allocation(m, check.witness) == []
+                        assert dominates(m, check.witness, alloc)
+        assert min(optimal, dominated) > 60, (optimal, dominated)
+        # identical preferences: every student waits for all lower indices,
+        # the peel's longest chain, and every full allocation is optimal
+        n = 200
+        m = Market([1] * n, np.tile(np.arange(n), (n, 1)), [rng.permutation(n) for _ in range(n)])
+        for alloc in (Allocation(np.arange(n)), Allocation(rng.permutation(n))):
+            assert is_pareto_optimal(m, alloc) and pareto_optimal_by_cycle_search(m, alloc)
 
 class TestThresholdShares:
     def test_all_first_choice(self):
