@@ -1,5 +1,5 @@
-"""Byte-for-byte CSV goldens for the ``simulate``, ``manipulate`` and
-``evaluate`` CLI.
+"""Byte-for-byte CSV goldens for the ``simulate``, ``manipulate``,
+``evaluate`` and ``oracle`` CLI.
 
 Each case runs ``cli.main`` and compares its stdout with a committed
 file under ``tests/data/``.  A change to the representation of markets
@@ -47,6 +47,10 @@ CASES = {
         "evaluate", "--market", "tests/data/small_market.txt", "--mechanisms", "DA,TTC,RSD,RM",
         "--seed", "11",
     ],
+    # closed-form values, printed to .10g; the README shows the n=10000 one
+    "oracle_rsd_envy_n1000.csv": ["oracle", "--check", "rsd_envy", "--n", "1000"],
+    "oracle_rsd_envy_n10000.csv": ["oracle", "--check", "rsd_envy", "--n", "10000"],
+    "oracle_rm_envy.csv": ["oracle", "--check", "rm_envy"],
 }
 
 
