@@ -10,16 +10,15 @@ which mechanisms and metrics read directly and through the int32
 ``rank_table`` and ``priority_table``, and an allocation one read-only
 int64 array; tuple views of both are built only when first read.  The
 lists and tables of an n-student uniform market take 16 n^2 bytes.  A
-list or assignment entry that does not convert exactly (a fraction, or
-an id the narrower type would wrap) raises ValueError.
+list or assignment entry, capacity or id that does not convert exactly
+(a fraction, or an id the narrower type would wrap) raises ValueError.
 
 Each list is screened once per market, and its screen is both its
 lookup table and its problems: the lookups raise the first problem and
 ``validate_market`` reports them all, so a loaded market hands the
-mechanisms the tables its validation built.  The priority screen also
-refuses priorities that do not cover exactly one list per school.
-Ranks are read from ``rank_table``, ``effective_ranks`` and
-``validate_allocation``; there is no per-student ``rank_of``.
+mechanisms the tables its validation built.  The preference screen also
+refuses a negative capacity (zero seats are allowed), and the priority
+screen priorities that do not cover exactly one list per school.
 
 Markets and allocations are immutable after construction and every
 operation here is a pure function, so instances can be shared freely
@@ -75,6 +74,20 @@ def _exact(values: np.ndarray, dtype, owner: str, item: str, row_of) -> np.ndarr
         raise ValueError(f"{owner} {row_of(i)}: {item} id {values.item(i)} "
                          f"does not convert exactly to {np.dtype(dtype)}")
     return cast
+
+
+def _exact_ints(values, owner: str, item: str) -> tuple[int, ...]:
+    """``values`` as Python ints; the first one int() refuses or changes (a
+    fraction, nan or inf) raises ValueError naming its ``owner`` index."""
+    ints = []
+    for i, v in enumerate(values):
+        try:
+            ints.append(int(v))
+        except (TypeError, ValueError, OverflowError):
+            ints.append(None)
+        if ints[-1] != v:
+            raise ValueError(f"{owner} {i}: {item} {v} does not convert exactly to int")
+    return tuple(ints)
 
 
 def _as_padded(lists, owner: str, item: str) -> tuple[np.ndarray, np.ndarray]:
@@ -165,11 +178,11 @@ class Market:
     ``list_lengths`` and ``priority_lengths`` (read-only int64).  A
     read-only int32 array over read-only memory is adopted without a
     copy; anything else is copied.  ``prefs`` and ``priorities`` are
-    tuple views built on first access.  Construction refuses only an
-    entry that does not convert exactly to int32 (ValueError); each
-    list's screen, cached on first use, finds its other problems, which
-    ``validate_market`` reports and the table lookups refuse, together
-    with negative capacities.
+    tuple views built on first access.  Construction refuses only a list
+    entry, capacity or id that does not convert exactly to int32 or int
+    (ValueError); each list's screen, cached on first use, finds its
+    other problems, which ``validate_market`` reports and the table
+    lookups refuse, together with negative capacities.
     """
 
     capacities: tuple[int, ...]
@@ -181,11 +194,11 @@ class Market:
     school_ids: tuple[int, ...]
 
     def __init__(self, capacities, prefs, priorities, student_ids=(), school_ids=()) -> None:
-        capacities = tuple(int(c) for c in capacities)
+        capacities = _exact_ints(capacities, "school", "capacity")
         prefs = _as_padded(prefs, "student", "school")
         priorities = _as_padded(priorities, "school", "student")
-        student_ids = tuple(int(i) for i in student_ids or range(len(prefs[1])))
-        school_ids = tuple(int(i) for i in school_ids or range(len(capacities)))
+        student_ids = _exact_ints(student_ids or range(len(prefs[1])), "student", "id")
+        school_ids = _exact_ints(school_ids or range(len(capacities)), "school", "id")
         stored = (capacities, *prefs, *priorities, student_ids, school_ids)
         vars(self).update(zip([f.name for f in fields(self)], stored))
 
@@ -247,9 +260,12 @@ class Market:
 
     @cached_property
     def _pref_screen(self) -> tuple[np.ndarray, list[str]]:
-        """``_screen`` of the preference lists: rank table and problems."""
-        return _screen(self.pref_array, self.list_lengths, self.n_schools,
-                       "student", "school", "preference list")
+        """``_screen`` of the preference lists, led by negative capacities
+        (zero seats are allowed): rank table and problems."""
+        table, problems = _screen(self.pref_array, self.list_lengths, self.n_schools,
+                                  "student", "school", "preference list")
+        return table, [f"school {s}: negative capacity {cap}"
+                       for s, cap in enumerate(self.capacities) if cap < 0] + problems
 
     @cached_property
     def _priority_screen(self) -> tuple[np.ndarray, list[str]]:
@@ -271,9 +287,6 @@ class Market:
         capacity (zero seats are allowed) and for a list naming a school
         outside 0..m-1, or one twice, in ``validate_market``'s words.
         """
-        for s, cap in enumerate(self.capacities):
-            if cap < 0:
-                raise ValueError(f"school {s}: negative capacity {cap}")
         table, problems = self._pref_screen
         if problems:
             raise ValueError(problems[0])
@@ -329,8 +342,16 @@ class Allocation:
 
 
 def effective_ranks(market: Market, allocation: Allocation) -> np.ndarray:
-    """(n,) effective rank per student: realized rank, or k+1 if unassigned."""
+    """(n,) effective rank per student: realized rank, or k+1 if unassigned.
+    A wrong size or a school id outside 0..m-1 other than UNASSIGNED raises
+    ValueError in ``validate_allocation``'s words; other flaws are scored."""
     a = allocation.assignment_array
+    if allocation.n_students != market.n_students:
+        raise ValueError(f"allocation covers {allocation.n_students} students, "
+                         f"market has {market.n_students}")
+    if a.min(initial=0) < UNASSIGNED or a.max(initial=UNASSIGNED) >= market.n_schools:
+        t = int(np.argmax((a < UNASSIGNED) | (a >= market.n_schools)))
+        raise ValueError(f"student {t}: unknown school id {a[t]}")
     ranks = market.list_lengths + 1
     assigned = np.nonzero(a >= 0)[0]
     ranks[assigned] = market.rank_table[assigned, a[assigned]]
@@ -344,9 +365,7 @@ def validate_market(market: Market) -> list[str]:
     you can inspect.
     """
     n, m = market.n_students, market.n_schools
-    problems = [f"school {s}: capacity must be at least 1, got {cap}"
-                for s, cap in enumerate(market.capacities) if cap < 1]
-    problems += market._pref_screen[1] + market._priority_screen[1]
+    problems = market._pref_screen[1] + market._priority_screen[1]
     for ids, count, name in ((market.student_ids, n, "student"), (market.school_ids, m, "school")):
         if len(ids) != count:
             problems.append(f"{name}_ids length does not match number of {name}s")
@@ -394,11 +413,7 @@ def balance_capacities(market: Market) -> Market:
         return market
     caps = list(market.capacities)
     for _ in range(surplus):
-        pool = [s for s, c in enumerate(caps) if c > 1]
-        if not pool:
-            pool = [s for s, c in enumerate(caps) if c > 0]
-        target = max(pool, key=lambda s: (caps[s], -s))
-        caps[target] -= 1
+        caps[max(range(len(caps)), key=lambda s: (caps[s], -s))] -= 1
     return market._replace(capacities=tuple(caps))
 
 

@@ -1,18 +1,17 @@
 """Closed-form reference values for uniform random markets.
 
 These are the analytic counterparts of the Monte Carlo experiments:
-the serial-dictatorship placement distribution and its no-envy limit,
-the geometric rank distribution of rank-minimizing assignment, the
-harmonic-number formula for trading-cycle average ranks, and the
-asymptotic average/maximum-rank curves per mechanism.  Everything here
-is pure, stateless and thread-safe.
+serial-dictatorship placement probabilities, RM's geometric rank pmf,
+the harmonic-number formula for TTC's average rank, and asymptotic
+average/maximum-rank curves per mechanism.  RSD's no-envy fraction and
+RM's envy limit are one identity, ``expected_envy_share``, applied to
+each mechanism's rank shares.  Everything here is pure and stateless.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -23,6 +22,7 @@ __all__ = [
     "TTC_MAX_RANK_LOWER_FRACTION",
     "TTC_MAX_RANK_OBSERVED_FRACTION",
     "RSD_NO_ENVY_LIMIT",
+    "expected_envy_share",
     "rsd_rank_probability",
     "rsd_no_envy_fraction",
     "rm_rank_pmf",
@@ -54,60 +54,45 @@ class TheoryValue:
     source: str
 
 
-@lru_cache(maxsize=8)
-def _log_factorials(n: int) -> np.ndarray:
-    """log(k!) for k = 0..n."""
-    table = np.zeros(n + 1)
-    if n:
-        table[1:] = np.cumsum(np.log(np.arange(1, n + 1, dtype=np.float64)))
-    table.setflags(write=False)
-    return table
+def expected_envy_share(rank_shares) -> float:
+    """Expected share of students with justified envy, 1 - sum_r s_r 2^(1-r),
+    given the share s_r of students seated at their r-th choice
+    (``rank_shares[r - 1]``).
+
+    Holds when priority lists are iid uniform and full, every school has
+    one seat and fills it, and the mechanism never reads priorities: the
+    r - 1 schools a rank-r student prefers are all held, and the student
+    outranks each holder with probability 1/2, independently of the
+    allocation and across schools.
+    """
+    return 1.0 - math.fsum(s * 2.0 ** (1 - r) for r, s in enumerate(rank_shares, start=1))
 
 
 def rsd_rank_probability(k: int, j: int, n: int) -> float:
     """P(the k-th dictator is assigned their j-th most preferred school).
 
-    Equals ((n+1-k)/k) * C(k,j) / C(n,j); zero whenever j > k, since
-    at most k-1 schools are gone when the k-th dictator picks.
-    Binomials are evaluated in log space so n in the tens of thousands
-    stays cheap and overflow-free.
+    Equals ((n+1-k)/k) * C(k,j) / C(n,j) in exact integers, rounded
+    once; C(k,j) = 0 when j > k, as at most k-1 schools are gone when
+    the k-th dictator picks.  The binomials have up to n bits, so a call
+    at n = 20,000 takes milliseconds.
     """
-    if not 1 <= k <= n:
-        raise ValueError(f"dictator index k={k} out of range 1..{n}")
-    if not 1 <= j <= n:
-        raise ValueError(f"rank j={j} out of range 1..{n}")
-    if j > k:
-        return 0.0
-    lf = _log_factorials(n)
-    log_c_kj = lf[k] - lf[j] - lf[k - j]
-    log_c_nj = lf[n] - lf[j] - lf[n - j]
-    return float(math.exp(math.log(n + 1 - k) - math.log(k) + log_c_kj - log_c_nj))
+    if not (1 <= k <= n and 1 <= j <= n):
+        raise ValueError(f"dictator index k={k} or rank j={j} out of range 1..{n}")
+    return (n + 1 - k) * math.comb(k, j) / (k * math.comb(n, j))
 
 
 def rsd_no_envy_fraction(n: int) -> float:
-    """Expected fraction of students without justified envy under RSD.
-
-    (1/n) * sum over dictators k of sum over ranks j <= k of
-    p_{k,j} * 2^(1-j).  Converges to RSD_NO_ENVY_LIMIT = 0.6137 from
-    above; the complement is the RSD/TTC envy share limit 0.3863.
-    The j sum is truncated where 2^(1-j) underflows to zero, which is
-    exact in float64.
+    """Expected fraction of students without justified envy under RSD:
+    (n+1)/n * sum_j 2^(1-j)/(j(j+1)), one minus ``expected_envy_share``
+    of the rank shares (n+1)/(n j (j+1)) that ``rsd_rank_probability``
+    sums to over dictators (hockey-stick identity).  Converges to
+    RSD_NO_ENVY_LIMIT = 0.6137 from above.  Ranks past 1080, where
+    2^(1-j) underflows, are left out.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    lf = _log_factorials(n)
-    total = 0.0
-    j_cap = min(n, 1080)
-    for j in range(1, j_cap + 1):
-        ks = np.arange(j, n + 1, dtype=np.float64)
-        log_p = (
-            np.log(n + 1 - ks)
-            - np.log(ks)
-            + (lf[j:] - lf[j] - lf[0 : n - j + 1])
-            - (lf[n] - lf[j] - lf[n - j])
-        )
-        total += float(np.exp(log_p).sum()) * 2.0 ** (1 - j)
-    return total / n
+    shares = ((n + 1) / (n * j * (j + 1)) for j in range(1, min(n, 1080) + 1))
+    return 1.0 - expected_envy_share(shares)
 
 
 def rm_rank_pmf(i: int) -> float:
@@ -120,16 +105,15 @@ def rm_rank_pmf(i: int) -> float:
 
 def rm_envy_limit(terms: int | None = None) -> float:
     """Limit fraction of students with justified envy under rank
-    minimization: 1 - sum over i of 2^(1-2i) = 1/3.
-
-    With ``terms`` set, returns the partial sum 1 - sum_{i<=terms},
-    which decreases toward 1/3 (0.5 after one term).
+    minimization: ``expected_envy_share`` of the rank pmf 2^-i, which
+    is 1 - sum over i of 2^(1-2i) = 1/3.  With ``terms`` set, the pmf
+    stops at i = ``terms``: 0.5 after one term, decreasing toward 1/3.
     """
     if terms is None:
         return 1.0 / 3.0
     if terms < 0:
         raise ValueError("terms must be nonnegative")
-    return 1.0 - sum(2.0 ** (1 - 2 * i) for i in range(1, terms + 1))
+    return expected_envy_share(rm_rank_pmf(i) for i in range(1, terms + 1))
 
 
 def ttc_expected_avg_rank(n: int) -> float:

@@ -141,14 +141,53 @@ def stable_matchings(market: Market):
     return out
 
 
+def deferred_acceptance_by_proposals(market: Market) -> Allocation:
+    """Student-proposing deferred acceptance as Gale and Shapley wrote it,
+    on tuple lists: a free student proposes to the next school on their
+    list; the school holds its best proposers up to capacity and rejects
+    the rest, and any student it does not rank."""
+    n = market.n_students
+    position = [{t: i for i, t in enumerate(ranked)} for ranked in market.priorities]
+    held: list[list[int]] = [[] for _ in market.capacities]
+    proposals = [0] * n
+    free = list(range(n))
+    while free:
+        t = free.pop()
+        if proposals[t] == len(market.prefs[t]):
+            continue  # rejected by every school on the list
+        s = market.prefs[t][proposals[t]]
+        proposals[t] += 1
+        if t not in position[s]:
+            free.append(t)  # the school does not rank them
+            continue
+        held[s].append(t)
+        if len(held[s]) > market.capacities[s]:
+            held[s].sort(key=position[s].__getitem__)
+            free.append(held[s].pop())  # the lowest-priority student held
+    assignment = [UNASSIGNED] * n
+    for s, students in enumerate(held):
+        for t in students:
+            assignment[t] = s
+    return Allocation(assignment)
+
+
 def rsd_no_envy_closed_form(n: int) -> float:
-    """Reduced form of the no-envy fraction, derived independently:
-    (n+1)/n * sum_j 2^(1-j) (1/j - 1/(j+1)); exact rationals."""
+    """The closed form of the no-envy fraction in exact rationals,
+    rounded once: (n+1)/n * sum_j 2^(1-j) (1/j - 1/(j+1)).  Terms past
+    j = 200 add less than 2^-199 and are left out."""
     s = sum(
         Fraction(1, 2 ** (j - 1)) * (Fraction(1, j) - Fraction(1, j + 1))
-        for j in range(1, n + 1)
+        for j in range(1, min(n, 200) + 1)
     )
     return float(Fraction(n + 1, n) * s)
+
+
+def rsd_rank_probability_by_counting(k: int, j: int, n: int) -> Fraction:
+    """P(the k-th of n dictators gets their j-th choice), counted.  The
+    k-1 schools taken before them are a uniform random subset, whatever
+    their own list; they get rank j iff that subset holds their top j-1
+    schools and not the j-th, as C(n-j, k-j) of the C(n, k-1) do."""
+    return Fraction(math.comb(n - j, k - j), math.comb(n, k - 1)) if j <= k else Fraction(0)
 
 
 def min_cost_by_scan(cost) -> int | float:
@@ -195,8 +234,8 @@ def validate_market_by_loops(market: Market) -> list[str]:
     n, m = market.n_students, market.n_schools
     problems: list[str] = []
     for s, cap in enumerate(market.capacities):
-        if cap < 1:
-            problems.append(f"school {s}: capacity must be at least 1, got {cap}")
+        if cap < 0:
+            problems.append(f"school {s}: negative capacity {cap}")
     for t, plist in enumerate(market.prefs):
         seen: set[int] = set()
         for s in plist:

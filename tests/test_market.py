@@ -18,6 +18,7 @@ from schoolmatch.market import (
     validate_allocation,
     validate_market,
 )
+from schoolmatch.metrics import justified_envy, rank_stats
 from schoolmatch.simulate import generate_uniform_market
 
 from oracles import (
@@ -53,8 +54,11 @@ class TestValidateMarket:
         assert any("unknown student id 9" in p for p in problems)
 
     def test_zero_capacity(self):
+        # zero seats are valid, as for every mechanism; fewer are not
         m = Market(capacities=(0, 1), prefs=((0, 1),), priorities=((0,), (0,)))
-        assert any("capacity" in p for p in validate_market(m))
+        assert validate_market(m) == []
+        m = Market(capacities=(1, -1), prefs=((0, 1),), priorities=((0,), (0,)))
+        assert validate_market(m) == ["school 1: negative capacity -1"]
 
     def test_unknown_school_in_prefs(self):
         m = Market(capacities=(1,), prefs=((0, 3),), priorities=((0,),))
@@ -100,6 +104,15 @@ class TestBalanceCapacities:
         # three unit schools, two students: one school must lose its seat
         m = Market(capacities=(1, 1, 1), prefs=((0, 1, 2),) * 2, priorities=((0, 1),) * 3)
         assert balance_capacities(m).capacities == (0, 1, 1)
+
+    def test_balanced_zero_seat_market_is_valid_and_saves(self, tmp_path):
+        m = Market(capacities=(1, 1), prefs=((0, 1),), priorities=((0,), (0,)))
+        balanced = balance_capacities(m)
+        assert balanced.capacities == (0, 1)
+        assert validate_market(balanced) == []
+        save_market(balanced, tmp_path / "m.txt")
+        assert (tmp_path / "m.txt").read_text().startswith("[schools]\n0,0\n1,1\n")
+        assert load_market(tmp_path / "m.txt") == balanced
 
     def test_ties_broken_by_lowest_id(self):
         m = Market(capacities=(2, 2, 1), prefs=((0, 1, 2),) * 4, priorities=((0, 1, 2, 3),) * 3)
@@ -216,8 +229,8 @@ class TestMarketFiles:
     @pytest.mark.parametrize("fields, message", [
         pytest.param(dict(capacities=(1, 1), student_ids=(7, 3)),
                      "student_ids must be strictly increasing", id="unsorted_ids"),
-        pytest.param(dict(capacities=(0, 2)),
-                     "school 0: capacity must be at least 1, got 0", id="zero_capacity"),
+        pytest.param(dict(capacities=(-1, 2)),
+                     "school 0: negative capacity -1", id="negative_capacity"),
     ])
     def test_save_refuses_invalid_market(self, tmp_path, fields, message):
         # such a file would load back reordered, or not load at all
@@ -392,6 +405,23 @@ class TestEffectiveRanks:
                 ranks = sorted(m.rank_table[t, list(m.prefs[t])].tolist())
                 assert ranks == list(range(1, len(m.prefs[t]) + 1))
 
+    @pytest.mark.parametrize("school", [5, 2, -2])
+    def test_unknown_school_id_refused(self, school):
+        # 5 and 2 lie past the last school; -2 is neither a school nor UNASSIGNED
+        m = market_2x2()
+        message = f"student 0: unknown school id {school}"
+        assert validate_allocation(m, Allocation((school, 0))) == [message]
+        for score in (effective_ranks, rank_stats, justified_envy):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                score(m, Allocation((school, 0)))
+
+    @pytest.mark.parametrize("size", [1, 3])
+    def test_wrong_size_refused(self, size):
+        message = f"allocation covers {size} students, market has 2"
+        assert validate_allocation(market_2x2(), Allocation((0,) * size)) == [message]
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            effective_ranks(market_2x2(), Allocation((0,) * size))
+
     def test_matches_definition(self):
         rng = np.random.default_rng(17)
         for _ in range(20):
@@ -504,6 +534,21 @@ class TestArrayStorage:
         prios = np.array([[0.0, 1.0], [1.0, np.nan]])
         with pytest.raises(ValueError, match="school 1: student id nan does not"):
             Market((1, 1), [[0, 1], [1, 0]], prios)
+
+    @pytest.mark.parametrize("fields, message", [
+        (dict(capacities=(1.7, 0.9)), "school 0: capacity 1.7 does not convert exactly to int"),
+        (dict(capacities=(1, float("nan"))), "school 1: capacity nan does not convert exactly"),
+        (dict(capacities=(1, 1), student_ids=(3.9,)), "student 0: id 3.9 does not convert"),
+        (dict(capacities=(1, 1), school_ids=(2, float("inf"))), "school 1: id inf does not"),
+    ], ids=["fractional_capacity", "nan_capacity", "fractional_id", "inf_id"])
+    def test_capacities_and_ids_must_be_exact(self, fields, message):
+        # a fraction is refused, not truncated into a valid count or id
+        with pytest.raises(ValueError, match=message):
+            Market(prefs=((0, 1),), priorities=((0,), (0,)), **fields)
+        m = Market(capacities=(1.0, np.int64(2)), prefs=((0, 1),), priorities=((0,), (0,)),
+                   student_ids=(np.int32(3),), school_ids=(2**70, 2.0**71))
+        assert m.capacities == (1, 2) and m.student_ids == (3,)
+        assert m.school_ids == (2**70, 2**71) and not validate_market(m)
 
     def test_allocation_entries_must_be_exact_ids(self):
         with pytest.raises(ValueError, match="student 0: school id 0.7 does not convert exactly"):

@@ -16,10 +16,11 @@ from schoolmatch.mechanisms import (
 )
 from schoolmatch.market import effective_ranks, validate_allocation, validate_market
 from schoolmatch.metrics import is_pareto_optimal, rank_stats
-from schoolmatch.simulate import generate_uniform_market
+from schoolmatch.simulate import _TAG_MARKET, derive_seed, generate_uniform_market
 
 from oracles import (
     brute_force_assignment,
+    deferred_acceptance_by_proposals,
     dominates,
     pareto_optimal_by_enumeration,
     random_market_lists,
@@ -93,6 +94,21 @@ class TestDeferredAcceptance:
         )
         alloc = deferred_acceptance(m)
         assert alloc.assignment == (0, 1, 0)
+
+    def test_matches_textbook_da_on_acceptance_markets(self):
+        # the first 200 markets of the n=100 acceptance table, whose DA
+        # first-choice share reads 79.2 against the source table's 96
+        for r in range(200):
+            m = generate_uniform_market(100, derive_seed(20251, r, _TAG_MARKET))
+            assert deferred_acceptance(m) == deferred_acceptance_by_proposals(m), r
+
+    def test_matches_textbook_da_on_random_partial_markets(self):
+        rng = np.random.default_rng(62)
+        for _ in range(300):
+            capacities, prefs, priorities = random_market_lists(rng)
+            capacities[0] = 0  # a school without seats rejects everyone
+            m = Market(capacities, prefs, priorities)
+            assert deferred_acceptance(m) == deferred_acceptance_by_proposals(m)
 
 
 class TestTopTradingCycles:
@@ -333,7 +349,7 @@ class TestCrossMechanismProperties:
 
     def test_negative_capacity_refused(self):
         m = Market(capacities=(-1, 2), prefs=((0, 1), (0, 1)), priorities=((0, 1), (0, 1)))
-        assert "school 0: capacity must be at least 1, got -1" in validate_market(m)
+        assert validate_market(m) == ["school 0: negative capacity -1"]
         for name in ("DA", "TTC", "RSD", "RM"):
             with pytest.raises(ValueError, match="school 0: negative capacity -1"):
                 run_mechanism(name, m, 3)

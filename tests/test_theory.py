@@ -1,11 +1,17 @@
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from schoolmatch.mechanisms import run_mechanism
+from schoolmatch.metrics import rank_stats
+from schoolmatch.simulate import _TAG_MARKET, _TAG_RM, _TAG_RSD, derive_seed, generate_uniform_market
 from schoolmatch.theory import (
     RSD_NO_ENVY_LIMIT,
     TTC_MAX_RANK_LOWER_FRACTION,
+    expected_envy_share,
     reference_curves,
     rm_envy_limit,
     rm_rank_pmf,
@@ -14,7 +20,50 @@ from schoolmatch.theory import (
     ttc_expected_avg_rank,
 )
 
-from oracles import rsd_no_envy_closed_form
+from oracles import rsd_no_envy_closed_form, rsd_rank_probability_by_counting
+
+
+class TestExpectedEnvyShare:
+    def test_small_cases(self):
+        assert expected_envy_share([1.0]) == 0.0
+        assert expected_envy_share([]) == 1.0
+        # half at rank 1 never envy; half at rank 2 envy with probability 1/2
+        assert expected_envy_share([0.5, 0.5]) == 0.25
+        assert expected_envy_share(iter([0.0, 0.0, 1.0])) == 0.75
+
+
+# The identity on simulated markets.  RM and RSD never read priorities,
+# so each replication's envy share minus the identity on its own rank
+# shares averages to 0; this checks metrics._envious at sizes no
+# enumeration reaches.  TTC reads priorities and misses at n=100.
+# Markets and seeds are the acceptance tables' (master seeds 20251 and
+# 20252), with 300 and 40 of their 1000 replications.
+_REPLICATIONS = {100: (20251, 300), 500: (20252, 40)}
+
+
+def _envy_minus_identity(n: int, mech: str) -> tuple[float, float]:
+    """Mean and standard error over replications of envy share minus identity."""
+    master, reps = _REPLICATIONS[n]
+    diffs = []
+    for r in range(reps):
+        market = generate_uniform_market(n, derive_seed(master, r, _TAG_MARKET))
+        seed = derive_seed(master, r, _TAG_RM if mech == "RM" else _TAG_RSD)
+        stats = rank_stats(market, run_mechanism(mech, market, seed))
+        shares = [stats.histogram.get(rank, 0) / n for rank in range(1, max(stats.histogram) + 1)]
+        diffs.append(stats.envy_share - expected_envy_share(shares))
+    return float(np.mean(diffs)), float(np.std(diffs, ddof=1) / math.sqrt(reps))
+
+
+@pytest.mark.parametrize("n", sorted(_REPLICATIONS))
+@pytest.mark.parametrize("mech", ["RM", "RSD"])
+def test_identity_matches_priority_blind_mechanisms(mech, n):
+    mean, se = _envy_minus_identity(n, mech)
+    assert abs(mean) < 3 * se, (mean, se)
+
+
+def test_identity_misses_ttc_at_n100():
+    mean, se = _envy_minus_identity(100, "TTC")
+    assert mean < -3 * se, (mean, se)
 
 
 class TestRsdRankProbability:
@@ -39,6 +88,24 @@ class TestRsdRankProbability:
             total = sum(rsd_rank_probability(k, j, n) for j in range(1, k + 1))
             assert abs(total - 1.0) < 1e-12
 
+    def test_exact_on_grid(self):
+        # within 1e-15 relative of the counted probability; values below
+        # the smallest normal float have no relative precision to check
+        for n in (1, 2, 3, 9, 60, 313, 2000):
+            for k in sorted({1, 2, n // 3, n // 2, n - 1, n} & set(range(1, n + 1))):
+                for j in sorted({1, 2, 3, k // 2, k - 1, k} & set(range(1, k + 1))):
+                    exact = rsd_rank_probability_by_counting(k, j, n)
+                    if exact >= sys.float_info.min:
+                        error = abs(Fraction(rsd_rank_probability(k, j, n)) - exact) / exact
+                        assert error <= 1e-15, (k, j, n)
+
+    def test_column_sums(self):
+        # summed over dictators k, rank j holds (n+1)/(j(j+1)) students
+        for n in (1, 7, 60):
+            for j in range(1, n + 1):
+                total = sum(rsd_rank_probability(k, j, n) for k in range(j, n + 1))
+                assert total == pytest.approx((n + 1) / (j * (j + 1)), rel=1e-13)
+
     def test_index_errors(self):
         with pytest.raises(ValueError):
             rsd_rank_probability(0, 1, 5)
@@ -54,11 +121,30 @@ class TestRsdNoEnvyFraction:
     def test_single_dictator_never_envies(self):
         assert rsd_no_envy_fraction(1) == pytest.approx(1.0)
 
-    @pytest.mark.parametrize("n", [1, 2, 5, 12, 50, 500])
+    # the reduced form in exact rationals, rounded once
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 10, 12, 50, 100, 500, 1000, 10_000, 100_000])
     def test_matches_independent_reduced_form(self, n):
         assert rsd_no_envy_fraction(n) == pytest.approx(
-            rsd_no_envy_closed_form(n), abs=1e-10
+            rsd_no_envy_closed_form(n), rel=1e-15, abs=0
         )
+
+    @pytest.mark.parametrize("n", [1, 2, 6, 25, 60])
+    def test_matches_definition(self, n):
+        # (1/n) sum_k sum_j p(k, j) 2^(1-j): a rank-j student outranks the
+        # holders of the j-1 schools they prefer with probability 2^(1-j)
+        by_definition = sum(
+            rsd_rank_probability(k, j, n) * 2.0 ** (1 - j)
+            for k in range(1, n + 1) for j in range(1, k + 1)
+        ) / n
+        assert rsd_no_envy_fraction(n) == pytest.approx(by_definition, rel=1e-13)
+
+    def test_limit(self):
+        # sum_j 2^(1-j)/(j(j+1)) = 2 - 2 ln 2, and the (n+1)/n factor
+        # puts the value RSD_NO_ENVY_LIMIT/n above it
+        assert RSD_NO_ENVY_LIMIT == pytest.approx(2 - 2 * math.log(2), rel=1e-15)
+        assert rsd_no_envy_fraction(10**15) == pytest.approx(RSD_NO_ENVY_LIMIT, rel=1e-14)
+        excess = 10**6 * (rsd_no_envy_fraction(10**6) - RSD_NO_ENVY_LIMIT)
+        assert excess == pytest.approx(RSD_NO_ENVY_LIMIT, rel=1e-6)
 
     def test_monotone_convergence_to_limit(self):
         gaps = [abs(rsd_no_envy_fraction(n) - RSD_NO_ENVY_LIMIT) for n in (10, 100, 1000, 10_000)]
@@ -89,6 +175,14 @@ class TestRmEnvyLimit:
     def test_partial_sums(self):
         assert rm_envy_limit(terms=1) == 0.5
         assert abs(rm_envy_limit(terms=10) - 1 / 3) < 1e-5
+
+    def test_identity_on_the_rank_pmf(self):
+        assert rm_envy_limit(terms=0) == 1.0
+        for terms in (2, 5, 30):
+            pmf = [rm_rank_pmf(i) for i in range(1, terms + 1)]
+            assert rm_envy_limit(terms) == expected_envy_share(pmf)
+            assert rm_envy_limit(terms) == pytest.approx((1 + 2 * 4.0**-terms) / 3, rel=1e-15)
+        assert rm_envy_limit(terms=600) == pytest.approx(rm_envy_limit(), rel=1e-15)
 
 
 class TestTtcExpectedAvgRank:
