@@ -170,7 +170,7 @@ class Market:
     priorities: per school, student indices from highest to lowest
         priority.  Students left out are unacceptable to the school.
     student_ids / school_ids: external labels (strictly increasing),
-        defaulting to 0..n-1 and 0..m-1.
+        defaulting, when empty, to 0..n-1 and 0..m-1.
 
     prefs and priorities may be nested sequences or 2-D integer arrays
     (full lists).  They are stored as ``pref_array`` and
@@ -197,8 +197,8 @@ class Market:
         capacities = _exact_ints(capacities, "school", "capacity")
         prefs = _as_padded(prefs, "student", "school")
         priorities = _as_padded(priorities, "school", "student")
-        student_ids = _exact_ints(student_ids or range(len(prefs[1])), "student", "id")
-        school_ids = _exact_ints(school_ids or range(len(capacities)), "school", "id")
+        student_ids = _exact_ints(student_ids, "student", "id") or tuple(range(len(prefs[1])))
+        school_ids = _exact_ints(school_ids, "school", "id") or tuple(range(len(capacities)))
         stored = (capacities, *prefs, *priorities, student_ids, school_ids)
         vars(self).update(zip([f.name for f in fields(self)], stored))
 
@@ -411,9 +411,18 @@ def balance_capacities(market: Market) -> Market:
         )
     if surplus == 0:
         return market
-    caps = list(market.capacities)
-    for _ in range(surplus):
-        caps[max(range(len(caps)), key=lambda s: (caps[s], -s))] -= 1
+    # Level by level: the k largest schools come down to the lowest level the
+    # surplus reaches, then the lowest-index ones there give a seat each.
+    desc, top = sorted(market.capacities, reverse=True), 0
+    for k, cap in enumerate(desc, 1):
+        top += cap  # seats at the k largest schools
+        if k == len(desc) or top - k * desc[k] > surplus:
+            break
+    level = -((surplus - top) // k)  # ceil((top - surplus) / k): only the k reach it
+    left = surplus - (top - k * level)  # 0 <= left < k
+    caps = [min(cap, level) for cap in market.capacities]
+    for s in [s for s, cap in enumerate(market.capacities) if cap >= level][:left]:
+        caps[s] -= 1
     return market._replace(capacities=tuple(caps))
 
 

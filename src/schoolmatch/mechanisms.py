@@ -165,27 +165,30 @@ def random_serial_dictatorship(market: Market, seed: int) -> Allocation:
     return serial_dictatorship(market, rng.permutation(market.n_students))
 
 
-def _rank_cost_matrix(market: Market) -> tuple[np.ndarray, np.ndarray]:
-    """Effective-rank costs per school, and the school of each unit seat.
-
-    The (n, m + 1) table holds each student's rank of each school (inf
-    where unranked) and, in its last column, k+1: the cost of staying
-    unassigned for a student ranking k schools.  Seats follow capacity
-    expansion; when some list is partial or seats cannot cover everyone,
-    one "stay unassigned" seat per student is appended, whose school is
-    UNASSIGNED (-1) and so indexes the table's last column.  The cost
-    matrix over seats is ``table[:, seats]``.
-    """
-    ranks = market.rank_table
+def _shuffled_rank_costs(market: Market, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """RM's seat matrix, rows and seats shuffled by ``seed``; the school
+    of each column (UNASSIGNED for a "stay unassigned" seat); the row
+    permutation."""
+    ranks, lengths = market.rank_table, market.list_lengths
     n, m = ranks.shape
-    table = np.empty((n, m + 1))
-    table[:, :m] = ranks
-    np.copyto(table[:, :m], np.inf, where=ranks > market.list_lengths[:, None])
-    table[:, m] = market.list_lengths + 1
-    seats = np.repeat(np.arange(market.n_schools), market.capacities)
-    if not market.has_full_lists or market.total_seats < market.n_students:
-        seats = np.concatenate([seats, np.full(market.n_students, UNASSIGNED)])
-    return table, seats
+    seats = np.repeat(np.arange(m), market.capacities)
+    if not market.has_full_lists or market.total_seats < n:
+        seats = np.concatenate([seats, np.full(n, UNASSIGNED)])
+    rng = np.random.default_rng(seed)
+    row_perm = rng.permutation(n)
+    seats = seats[rng.permutation(len(seats))]
+    cost = np.empty((n, len(seats)))
+    buffer = np.empty((64, m + 1))  # column 0 holds k+1, column s+1 school s
+    for i in range(0, n, 64):
+        rows = row_perm[i : i + 64]
+        block = buffer[: len(rows)]
+        block[:, 0] = lengths[rows] + 1
+        block[:, 1:] = ranks[rows]
+        # ranked schools sit at 1..k <= m, unranked ones at m + 2
+        np.copyto(block[:, 1:], np.inf, where=block[:, 1:] > m)
+        # every index is in range; "clip", unlike "raise", fills out unbuffered
+        block.take(seats + 1, axis=1, out=cost[i : i + 64], mode="clip")
+    return cost, seats, row_perm
 
 
 def rank_minimizing(market: Market, seed: int) -> Allocation:
@@ -197,15 +200,14 @@ def rank_minimizing(market: Market, seed: int) -> Allocation:
     cheap reproducible randomization, not a uniform draw from the set
     of optima).  The total cost of the underlying matching equals the
     sum of effective ranks, including k+1 for each unassigned student.
+
+    The shuffled matrix over unit seats (plus one "stay unassigned" seat
+    per student at cost k+1 when some list is partial or seats fall
+    short) is built 64 rows at a time from the int32 ``rank_table``
+    through a small reused buffer: the solver holds it and no copy.
     """
-    table, seats = _rank_cost_matrix(market)
-    rng = np.random.default_rng(seed)
-    row_perm = rng.permutation(market.n_students)
-    seats = seats[rng.permutation(len(seats))]
-    # One gather from the small table builds the shuffled matrix (take
-    # keeps it row-major); it holds the entries the unshuffled matrix
-    # would, so the solver sees the same numbers.
-    result = min_cost_assignment(table[row_perm].take(seats, axis=1))
+    cost, seats, row_perm = _shuffled_rank_costs(market, seed)
+    result = min_cost_assignment(cost)
     assignment = np.empty(market.n_students, dtype=np.int64)
     assignment[row_perm] = seats[list(result.col_of_row)]
     return Allocation(assignment)

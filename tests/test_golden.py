@@ -42,6 +42,12 @@ CASES = {
         "simulate", "--market", "tests/data/small_market.txt", "--reps", "25",
         "--seed", "11", "--mechanisms", "RM,TTC,DA,RSD",
     ],
+    # short_supply_market.txt: 10 seats for 16 students, a zero-seat
+    # school, partial lists and priorities: RM's "stay unassigned" columns
+    "simulate_short_supply_market.csv": [
+        "simulate", "--market", "tests/data/short_supply_market.txt", "--reps", "25",
+        "--seed", "13", "--mechanisms", "RM,TTC,DA,RSD",
+    ],
     # per-student output of the same file-loaded market
     "evaluate_small_market.csv": [
         "evaluate", "--market", "tests/data/small_market.txt", "--mechanisms", "DA,TTC,RSD,RM",

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import time
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ from schoolmatch.metrics import justified_envy, rank_stats
 from schoolmatch.simulate import generate_uniform_market
 
 from oracles import (
+    balance_capacities_by_steps,
     load_market_by_loops,
     position_table_by_definition,
     random_market_lists,
@@ -117,6 +119,24 @@ class TestBalanceCapacities:
     def test_ties_broken_by_lowest_id(self):
         m = Market(capacities=(2, 2, 1), prefs=((0, 1, 2),) * 4, priorities=((0, 1, 2, 3),) * 3)
         assert balance_capacities(m).capacities == (1, 2, 1)
+
+    def test_levels_match_one_seat_steps(self):
+        rng = np.random.default_rng(19)
+        for _ in range(500):
+            caps = rng.integers(0, rng.integers(1, 9), size=rng.integers(1, 30)).tolist()
+            if rng.random() < 0.2:
+                caps = [int(rng.integers(0, 4))] * len(caps)  # every school tied
+            n = int(rng.integers(0, sum(caps) + 1))
+            m = Market(capacities=caps, prefs=[()] * n, priorities=[()] * len(caps))
+            assert balance_capacities(m).capacities == balance_capacities_by_steps(caps, n)
+
+    def test_many_surplus_seats_are_cheap(self):
+        # 9,600 surplus seats: the one-seat loop took most of a second here
+        m = Market(capacities=(25,) * 400, prefs=[()] * 400, priorities=[()] * 400)
+        start = time.perf_counter()
+        balanced = balance_capacities(m)
+        assert time.perf_counter() - start < 0.02
+        assert balanced.capacities == (1,) * 400
 
     def test_idempotent_and_preference_preserving(self):
         rng = np.random.default_rng(11)
@@ -549,6 +569,19 @@ class TestArrayStorage:
                    student_ids=(np.int32(3),), school_ids=(2**70, 2.0**71))
         assert m.capacities == (1, 2) and m.student_ids == (3,)
         assert m.school_ids == (2**70, 2**71) and not validate_market(m)
+
+    def test_ids_may_be_arrays(self):
+        # an id array is read like any sequence; an empty one means the default ids
+        m = Market((1, 2), ((0, 1), (1,)), ((0, 1), (1, 0)),
+                   student_ids=np.array([3, 5]), school_ids=np.array([10.0, 20.0]))
+        assert m.student_ids == (3, 5) and m.school_ids == (10, 20)
+        assert all(type(i) is int for i in m.student_ids + m.school_ids)
+        assert not validate_market(m)
+        m = Market((1, 2), ((0, 1), (1,)), ((0, 1), (1, 0)),
+                   student_ids=np.array([], dtype=int), school_ids=np.empty(0))
+        assert m.student_ids == (0, 1) and m.school_ids == (0, 1)
+        with pytest.raises(ValueError, match="student 1: id 5.5 does not convert exactly"):
+            Market((1,), ((0,), (0,)), ((0, 1),), student_ids=np.array([3, 5.5]))
 
     def test_allocation_entries_must_be_exact_ids(self):
         with pytest.raises(ValueError, match="student 0: school id 0.7 does not convert exactly"):

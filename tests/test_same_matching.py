@@ -1,6 +1,6 @@
 """The solver and RM against their earlier forms, kept in ``oracles``.
 
-The one-gather cost matrix and the NaN-masked layer loop, which traces
+The 64-row-block cost matrix and the NaN-masked layer loop, which traces
 predecessors back from each layer's stored distances, must give the
 same matching as the two-step matrix build and the ``done``-mask loop
 with its ``pred_row`` array on every input, not only the same cost:
@@ -14,7 +14,7 @@ import pytest
 
 from schoolmatch.assignment import InfeasibleAssignmentError, min_cost_assignment
 from schoolmatch.market import Market
-from schoolmatch.mechanisms import _rank_cost_matrix, rank_minimizing
+from schoolmatch.mechanisms import _shuffled_rank_costs, rank_minimizing
 from schoolmatch.simulate import generate_uniform_market
 
 from oracles import (
@@ -101,26 +101,45 @@ def test_quarter_step_search_sizes():
         assert isinstance(min_cost_assignment(cost).total_cost, float)
 
 
+def assert_same_shuffled_costs(market, seed):
+    """RM's block-built matrix, the school of each column and the row
+    permutation equal the full matrix's ``np.ix_`` copy, entry for entry."""
+    cost, seats, row_perm = _shuffled_rank_costs(market, seed)
+    expected, schools, expected_perm = reference_shuffled_cost_matrix(market, seed)
+    assert cost.dtype == np.float64 and cost.flags.c_contiguous
+    assert np.array_equal(row_perm, expected_perm)
+    assert np.array_equal(seats, schools)
+    assert np.array_equal(cost, expected)
+    return cost
+
+
 @pytest.mark.parametrize(
     "build",
     [
+        # 63, 64 and 65 rows end inside, at and one past a 64-row block
+        *(lambda n=n: generate_uniform_market(n, 66 + n) for n in (1, 63, 64, 65)),
         lambda: generate_uniform_market(200, 66),
         lambda: partial_market(300, 75, 4, 8, 67),
     ],
-    ids=["uniform-n200", "partial-300x75x4"],
+    ids=["uniform-n1", "uniform-n63", "uniform-n64", "uniform-n65", "uniform-n200",
+         "partial-300x75x4"],
 )
 def test_shuffled_rank_matrices(build):
     market = build()
-    table, seats = _rank_cost_matrix(market)
     for seed in (68, 69, 70):
-        cost, schools, row_perm = reference_shuffled_cost_matrix(market, seed)
-        # rank_minimizing's draws and gather reproduce the np.ix_ copy
-        rng = np.random.default_rng(seed)
-        assert np.array_equal(rng.permutation(market.n_students), row_perm)
-        shuffled = seats[rng.permutation(len(seats))]
-        assert np.array_equal(shuffled, schools)
-        assert np.array_equal(table[row_perm[:, None], shuffled], cost)
-        assert check_same_result(cost)
+        assert check_same_result(assert_same_shuffled_costs(market, seed))
+
+
+def test_shuffled_rank_matrices_whole_input_space():
+    # full, partial and empty lists, capacities 1-3, unbalanced both
+    # ways, and the same markets with a school cut to zero seats
+    rng = np.random.default_rng(74)
+    for _ in range(200):
+        caps, prefs, prios = random_market_lists(rng, max_students=80, max_schools=12)
+        seed = int(rng.integers(0, 2**32))
+        assert_same_shuffled_costs(Market(capacities=caps, prefs=prefs, priorities=prios), seed)
+        caps[int(rng.integers(0, len(caps)))] = 0
+        assert_same_shuffled_costs(Market(capacities=caps, prefs=prefs, priorities=prios), seed)
 
 
 def test_rank_minimizing_same_allocation():

@@ -301,14 +301,9 @@ class TestRunExperiment:
         with pytest.raises(ExperimentError, match="replication 0: n must be at least 1"):
             run_experiment(config)
 
-    def test_replication_holds_one_market(self):
-        # each replication frees its market before the next one is drawn,
-        # and stores its (2n, n) draw without a copy: the peak is that
-        # draw and the market's two (n, n) tables, 4 n^2 int32 cells or
-        # 2 n^2 * 8 bytes
-        n = 400
-        config = ExperimentConfig(n=n, replications=3, master_seed=1,
-                                  mechanisms=("DA", "TTC", "RSD"))
+    @staticmethod
+    def peak_of(config) -> int:
+        """tracemalloc's peak over one run of ``config``, after a warm-up."""
         run_experiment(config)  # warm-up: imports and lazy set-up
         tracing = tracemalloc.is_tracing()
         if not tracing:
@@ -321,7 +316,27 @@ class TestRunExperiment:
         finally:
             if not tracing:
                 tracemalloc.stop()
-        assert peak - before < 3 * n * n * 8
+        return peak - before
+
+    def test_replication_holds_one_market(self):
+        # each replication frees its market before the next one is drawn,
+        # and stores its (2n, n) draw without a copy: the peak is that
+        # draw and the market's two (n, n) tables, 4 n^2 int32 cells or
+        # 2 n^2 * 8 bytes
+        n = 400
+        config = ExperimentConfig(n=n, replications=3, master_seed=1,
+                                  mechanisms=("DA", "TTC", "RSD"))
+        assert self.peak_of(config) < 3 * n * n * 8
+
+    def test_rm_holds_one_cost_matrix(self):
+        # RM builds its shuffled (n, n) float cost matrix 64 rows at a
+        # time from the int32 rank table, with no n-row float table or
+        # row-permuted copy beside it: the peak is the market's 2 n^2 * 8
+        # bytes and that matrix's n^2 * 8
+        n = 400
+        config = ExperimentConfig(n=n, replications=3, master_seed=1,
+                                  mechanisms=("RM", "TTC", "DA"))
+        assert self.peak_of(config) < 3.5 * n * n * 8
 
 
 class TestPartialListPipeline:
