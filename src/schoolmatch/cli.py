@@ -137,8 +137,10 @@ def _oracle_rows(check: str, n: int):
             yield f"curve_avg[{mech}]", n, avg.value, avg.source
             yield f"curve_max[{mech}]", n, mx.value, mx.source
     else:
-        raise ValueError(f"unknown check {check!r}; choose from "
-                         "rsd_envy, rm_envy, rm_pmf, ttc_avg_rank, curves")
+        raise ValueError(
+            f"unknown check {check!r}; choose from "
+            "rsd_envy, rm_envy, rm_pmf, ttc_avg_rank, curves"
+        )
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:

@@ -411,18 +411,9 @@ def balance_capacities(market: Market) -> Market:
         )
     if surplus == 0:
         return market
-    # Level by level: the k largest schools come down to the lowest level the
-    # surplus reaches, then the lowest-index ones there give a seat each.
-    desc, top = sorted(market.capacities, reverse=True), 0
-    for k, cap in enumerate(desc, 1):
-        top += cap  # seats at the k largest schools
-        if k == len(desc) or top - k * desc[k] > surplus:
-            break
-    level = -((surplus - top) // k)  # ceil((top - surplus) / k): only the k reach it
-    left = surplus - (top - k * level)  # 0 <= left < k
-    caps = [min(cap, level) for cap in market.capacities]
-    for s in [s for s, cap in enumerate(market.capacities) if cap >= level][:left]:
-        caps[s] -= 1
+    caps = list(market.capacities)
+    for _ in range(surplus):
+        caps[max(range(len(caps)), key=lambda s: (caps[s], -s))] -= 1
     return market._replace(capacities=tuple(caps))
 
 

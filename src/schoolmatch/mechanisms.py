@@ -166,9 +166,8 @@ def random_serial_dictatorship(market: Market, seed: int) -> Allocation:
 
 
 def _shuffled_rank_costs(market: Market, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """RM's seat matrix, rows and seats shuffled by ``seed``; the school
-    of each column (UNASSIGNED for a "stay unassigned" seat); the row
-    permutation."""
+    """RM's cost matrix, rows and seats shuffled by ``seed``; each column's
+    school (UNASSIGNED for a "stay unassigned" seat); the row permutation."""
     ranks, lengths = market.rank_table, market.list_lengths
     n, m = ranks.shape
     seats = np.repeat(np.arange(m), market.capacities)
@@ -179,6 +178,7 @@ def _shuffled_rank_costs(market: Market, seed: int) -> tuple[np.ndarray, np.ndar
     seats = seats[rng.permutation(len(seats))]
     cost = np.empty((n, len(seats)))
     buffer = np.empty((64, m + 1))  # column 0 holds k+1, column s+1 school s
+    cols = seats + 1  # so UNASSIGNED (-1) reads column 0
     for i in range(0, n, 64):
         rows = row_perm[i : i + 64]
         block = buffer[: len(rows)]
@@ -187,7 +187,7 @@ def _shuffled_rank_costs(market: Market, seed: int) -> tuple[np.ndarray, np.ndar
         # ranked schools sit at 1..k <= m, unranked ones at m + 2
         np.copyto(block[:, 1:], np.inf, where=block[:, 1:] > m)
         # every index is in range; "clip", unlike "raise", fills out unbuffered
-        block.take(seats + 1, axis=1, out=cost[i : i + 64], mode="clip")
+        block.take(cols, axis=1, out=cost[i : i + 64], mode="clip")
     return cost, seats, row_perm
 
 
@@ -201,10 +201,8 @@ def rank_minimizing(market: Market, seed: int) -> Allocation:
     of optima).  The total cost of the underlying matching equals the
     sum of effective ranks, including k+1 for each unassigned student.
 
-    The shuffled matrix over unit seats (plus one "stay unassigned" seat
-    per student at cost k+1 when some list is partial or seats fall
-    short) is built 64 rows at a time from the int32 ``rank_table``
-    through a small reused buffer: the solver holds it and no copy.
+    The solver's matrix is built 64 rows at a time from the int32
+    ``rank_table`` through a small buffer; no other copy is alive.
     """
     cost, seats, row_perm = _shuffled_rank_costs(market, seed)
     result = min_cost_assignment(cost)

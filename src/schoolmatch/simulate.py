@@ -266,9 +266,18 @@ class ExperimentReport:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(CSV_HEADER.split(","))
         for summary in self.summaries.values():
-            base = [summary.label, str(self.config.n), str(self.config.replications),
-                    *map(_fmt, (summary.mean, summary.se_mean, summary.max_mean, summary.se_max,
-                                summary.variance, summary.envy_share, summary.unassigned))]
+            base = [
+                summary.label,
+                str(self.config.n),
+                str(self.config.replications),
+                _fmt(summary.mean),
+                _fmt(summary.se_mean),
+                _fmt(summary.max_mean),
+                _fmt(summary.se_max),
+                _fmt(summary.variance),
+                _fmt(summary.envy_share),
+                _fmt(summary.unassigned),
+            ]
             if self.config.thresholds:
                 for cutoff, share in zip(self.config.thresholds, summary.threshold_share):
                     writer.writerow(base + [_fmt(cutoff), _fmt(share)])

@@ -201,16 +201,6 @@ def min_cost_by_scan(cost) -> int | float:
     return best
 
 
-def balance_capacities_by_steps(capacities, n_students: int) -> tuple[int, ...]:
-    """``balance_capacities``' capacities as the one-seat-at-a-time loop
-    it replaced: each surplus seat leaves the largest school, the lowest
-    index on ties."""
-    caps = list(capacities)
-    for _ in range(sum(caps) - n_students):
-        caps[max(range(len(caps)), key=lambda s: (caps[s], -s))] -= 1
-    return tuple(caps)
-
-
 def random_market_lists(rng, max_students: int = 12, max_schools: int = 8):
     """(capacities, prefs, priorities) as nested lists: sizes drawn
     independently (so over- and undersupplied markets), capacities 1-3,
