@@ -5,13 +5,15 @@ Market files may use arbitrary integer ids; the loader maps them onto
 indices (ascending id order) and keeps the original ids for round-tripping
 and reporting.  All algorithmic code works on indices.
 
-A market stores its lists as read-only int32 arrays padded with -1,
-which mechanisms and metrics read directly and through the int32
-``rank_table`` and ``priority_table``, and an allocation one read-only
-int64 array; tuple views of both are built only when first read.  The
-lists and tables of an n-student uniform market take 16 n^2 bytes.  A
-list or assignment entry, capacity or id that does not convert exactly
-(a fraction, or an id the narrower type would wrap) raises ValueError.
+A market stores its lists as read-only arrays padded with -1, which
+mechanisms and metrics read directly and through ``rank_table`` and
+``priority_table``, and an allocation one read-only int64 array; tuple
+views of both are built only when first read.  Each list array and
+table is int16 when every value it holds fits, else int32, so the lists
+and tables of an n-student uniform market take 8 n^2 bytes up to
+n = 32 765.  A list or assignment entry, capacity or id that does not
+convert exactly (a fraction, or an id the narrower type would wrap)
+raises ValueError.
 
 Each list is screened once per market, and its screen is both its
 lookup table and its problems: the lookups raise the first problem and
@@ -90,19 +92,32 @@ def _exact_ints(values, owner: str, item: str) -> tuple[int, ...]:
     return tuple(ints)
 
 
+def _int_type(largest: int) -> type:
+    """The narrower of int16 and int32 that holds every value from
+    -1 - ``largest`` to ``largest``: int16 while ``largest`` < 2**15."""
+    return np.int16 if largest < 2**15 else np.int32
+
+
+def _list_type(entries: np.ndarray) -> type:
+    """``_int_type`` of int32-exact list ``entries`` and the -1 padding."""
+    return _int_type(max(int(entries.max(initial=0)), -1 - int(entries.min(initial=-1))))
+
+
 def _as_padded(lists, owner: str, item: str) -> tuple[np.ndarray, np.ndarray]:
     """Nested sequences, or a 2-D array of full-length lists, as
-    (read-only int32 array padded with -1, read-only int64 list
-    lengths).  A read-only int32 array over read-only memory is kept as
-    it is; anything else is copied, so the caller cannot write to what
-    the market stores, and an entry that is not an exact int32 raises
-    ValueError naming its ``owner`` row."""
+    (read-only array padded with -1, read-only int64 list lengths).  An
+    entry that is not an exact int32 raises ValueError naming its
+    ``owner`` row; the rest are stored in ``_list_type``.  A read-only
+    array of that type over read-only memory is kept as it is; anything
+    else is copied, so the caller cannot write to what the market
+    stores."""
     if isinstance(lists, np.ndarray) and lists.ndim == 2:
         # a read-only view of an array the caller can still write is copied
         base = lists.base if isinstance(lists.base, np.ndarray) else lists
-        keep = lists.dtype == np.int32 and not (lists.flags.writeable or base.flags.writeable)
-        padded = lists if keep else _exact(lists, np.int32, owner, item,
-                                           lambda i: i // lists.shape[1])
+        writable = lists.flags.writeable or base.flags.writeable
+        exact = lists if lists.dtype in (np.int16, np.int32) else _exact(
+            lists, np.int32, owner, item, lambda i: i // lists.shape[1])
+        padded = exact.astype(_list_type(exact), copy=writable and exact is lists)
         lengths = np.full(padded.shape[0], padded.shape[1], dtype=np.int64)
     else:
         rows = list(lists)
@@ -116,9 +131,10 @@ def _as_padded(lists, owner: str, item: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pad(flat: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The lists laid end to end in int32 ``flat``, row i ``lengths[i]``
-    long, as (read-only array padded with -1, read-only ``lengths``)."""
-    padded = np.full((lengths.size, lengths.max(initial=0)), -1, dtype=np.int32)
+    """The lists laid end to end in int32-exact ``flat``, row i
+    ``lengths[i]`` long, as (read-only ``_list_type`` array padded with
+    -1, read-only ``lengths``)."""
+    padded = np.full((lengths.size, lengths.max(initial=0)), -1, dtype=_list_type(flat))
     padded[np.arange(padded.shape[1]) < lengths[:, None]] = flat
     padded.setflags(write=False)
     lengths.setflags(write=False)
@@ -127,19 +143,24 @@ def _pad(flat: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 def _screen(lists: np.ndarray, lengths: np.ndarray, width: int,
             owner: str, item: str, list_name: str) -> tuple[np.ndarray, list[str]]:
-    """(rows, width) int32 table of each id's 1-based position in the row's
-    list, or width + 2 where the list leaves it out; and the unknown and
+    """(rows, width) table of each id's 1-based position in the row's
+    list, or width + 2 where the list leaves it out, in the ``_int_type``
+    of the larger of width + 2 and the list width; and the unknown and
     repeated ids, row by row in list order.  Positions are scattered
     into a zeroed table, so a clean list fills one cell per entry and one
     count of nonzero cells screens every list.  Padding and unknown ids,
     when one reduction finds any, land in a spill column.  The table is
     read-only."""
-    # negative ids (padding included) read as huge unsigned ones, so one
-    # max finds every id outside 0..width-1
-    spill = int(lists.view(np.uint32).max(initial=0) >= width)
-    ids = np.where(lists.view(np.uint32) < width, lists, width) if spill else lists
-    table = np.zeros((lists.shape[0], width + spill), dtype=np.int32)
-    positions = np.arange(1, lists.shape[1] + 1, dtype=np.int32)
+    # negative ids (padding included) read as unsigned ones of at least
+    # 2**15 (int16) or 2**31 (int32), so one max against a bound capped
+    # there finds every id outside 0..width-1, however wide the table
+    unsigned = lists.view(f"u{lists.itemsize}")
+    limit = min(width, np.iinfo(lists.dtype).max + 1)
+    spill = int(unsigned.max(initial=0) >= limit)
+    dtype = _int_type(max(width + 2, lists.shape[1]))
+    ids = np.where(unsigned < limit, lists, dtype(width)) if spill else lists
+    table = np.zeros((lists.shape[0], width + spill), dtype=dtype)
+    positions = np.arange(1, lists.shape[1] + 1, dtype=dtype)
     np.put_along_axis(table, ids, positions[None, :], axis=1)
     table = table[:, :width]
     filled = np.count_nonzero(table)
@@ -174,11 +195,12 @@ class Market:
 
     prefs and priorities may be nested sequences or 2-D integer arrays
     (full lists).  They are stored as ``pref_array`` and
-    ``priority_array`` (read-only int32, rows padded with -1) with
-    ``list_lengths`` and ``priority_lengths`` (read-only int64).  A
-    read-only int32 array over read-only memory is adopted without a
-    copy; anything else is copied.  ``prefs`` and ``priorities`` are
-    tuple views built on first access.  Construction refuses only a list
+    ``priority_array`` (read-only, rows padded with -1; int16 when every
+    entry fits, else int32) with ``list_lengths`` and
+    ``priority_lengths`` (read-only int64).  A read-only array already
+    in that type over read-only memory is adopted without a copy;
+    anything else is copied.  ``prefs`` and ``priorities`` are tuple
+    views built on first access.  Construction refuses only a list
     entry, capacity or id that does not convert exactly to int32 or int
     (ValueError); each list's screen, cached on first use, finds its
     other problems, which ``validate_market`` reports and the table
@@ -279,13 +301,15 @@ class Market:
 
     @cached_property
     def rank_table(self) -> np.ndarray:
-        """(n, m) int32 1-based rank of each school for each student.
+        """(n, m) 1-based rank of each school for each student.
 
         Unranked schools get the sentinel m + 2, strictly above every
-        effective rank (the worst effective rank is m + 1).  Every
-        mechanism reads it, so it raises ValueError for a negative
-        capacity (zero seats are allowed) and for a list naming a school
-        outside 0..m-1, or one twice, in ``validate_market``'s words.
+        effective rank (the worst effective rank is m + 1).  The table
+        is int16 while m + 2 and the list width are below 2**15, else
+        int32.  Every mechanism reads it, so it raises ValueError for a
+        negative capacity (zero seats are allowed) and for a list naming
+        a school outside 0..m-1, or one twice, in ``validate_market``'s
+        words.
         """
         table, problems = self._pref_screen
         if problems:
@@ -294,12 +318,13 @@ class Market:
 
     @cached_property
     def priority_table(self) -> np.ndarray:
-        """(m, n) int32 1-based priority position of each student at each school.
+        """(m, n) 1-based priority position of each student at each school.
 
         Students a school does not rank get the sentinel n + 2, strictly
-        above the n + 1 cutoff used for vacant seats.  Raises ValueError
-        if the priorities do not cover exactly m schools, or a list names
-        a student outside 0..n-1 or one twice.
+        above the n + 1 cutoff used for vacant seats.  The table is int16
+        while n + 2 and the list width are below 2**15, else int32.
+        Raises ValueError if the priorities do not cover exactly m
+        schools, or a list names a student outside 0..n-1 or one twice.
         """
         table, problems = self._priority_screen
         if problems:
@@ -559,7 +584,7 @@ def _indices(values: np.ndarray, lengths: np.ndarray, ids: list[int], owners: li
         first = int(np.argmin(known))
         row = int(np.searchsorted(np.cumsum(lengths), first, side="right"))
         raise MarketFormatError(f"{owner} {owners[row]}: unknown {item} id {values[first]}")
-    return _pad(found.astype(np.int32), lengths)
+    return _pad(found, lengths)
 
 
 def save_market(market: Market, path: str | Path) -> None:

@@ -201,7 +201,7 @@ def rank_minimizing(market: Market, seed: int) -> Allocation:
     of optima).  The total cost of the underlying matching equals the
     sum of effective ranks, including k+1 for each unassigned student.
 
-    The solver's matrix is built 64 rows at a time from the int32
+    The solver's matrix is built 64 rows at a time from the integer
     ``rank_table`` through a small buffer; no other copy is alive.
     """
     cost, seats, row_perm = _shuffled_rank_costs(market, seed)

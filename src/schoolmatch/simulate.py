@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from schoolmatch.market import Allocation, Market, effective_ranks, load_market
+from schoolmatch.market import Allocation, Market, _int_type, effective_ranks, load_market
 from schoolmatch.mechanisms import MECHANISMS, run_mechanism
 from schoolmatch.metrics import RankStats, rank_stats, threshold_shares
 
@@ -71,7 +71,8 @@ def derive_seed(seed: int, *indices: int) -> int:
 
 
 class ExperimentError(RuntimeError):
-    """A replication failed; the message carries the replication index."""
+    """A replication failed; the message carries the replication index
+    and the seeds it derived, so the failure can be replayed alone."""
 
 
 #: Rows shuffled per block by ``generate_uniform_market``.
@@ -83,16 +84,18 @@ def generate_uniform_market(n: int, seed: int) -> Market:
     preference and priority list is an independent uniform permutation
     (seeded Fisher-Yates).
 
-    The (2n, n) int32 lists are drawn row by row: rows 0..n-1 are the
+    The (2n, n) lists are drawn row by row: rows 0..n-1 are the
     preferences and rows n..2n-1 the priorities, the same draws as
     shuffling two (n, n) tiles in turn.  numpy shuffles 8-byte items
     fastest, so each block of rows is shuffled as int64 0..n-1 in one
-    small reused buffer and copied in.  The array is then made
-    read-only, so the market stores both halves without a copy."""
+    small reused buffer and copied in.  The lists are int16 up to
+    n = 32 768, else int32, the type ``Market`` stores them in, and
+    the array is made read-only, so the market stores both halves
+    without a copy."""
     if n < 1:
         raise ValueError("n must be at least 1")
     rng = np.random.default_rng(seed)
-    lists = np.empty((2 * n, n), dtype=np.int32)
+    lists = np.empty((2 * n, n), dtype=_int_type(n - 1))
     block = np.empty((min(_DRAW_ROWS, 2 * n), n), dtype=np.int64)
     for start in range(0, 2 * n, len(block)):
         rows = block[:2 * n - start]
@@ -359,7 +362,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             for label, row in _replicate(config, fixed, r).items():
                 rows[label].append(row)
         except Exception as exc:
-            raise ExperimentError(f"replication {r}: {exc}") from exc
+            named = [("RSD", _TAG_RSD), ("RM", _TAG_RM)]
+            if fixed is None:
+                named.insert(0, ("market", _TAG_MARKET))
+            if config.manipulation is not None:
+                named.append(("manipulation", _TAG_MANIPULATION))
+            seeds = ", ".join(f"{name} {derive_seed(config.master_seed, r, tag)}" for name, tag in named)
+            raise ExperimentError(f"replication {r}: {exc} (seeds: {seeds})") from exc
 
     summaries = {label: _summarize(label, r) for label, r in rows.items()}
     return ExperimentReport(config=config, summaries=summaries)

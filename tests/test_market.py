@@ -11,6 +11,8 @@ from schoolmatch.market import (
     Market,
     MarketFormatError,
     UndersuppliedMarketError,
+    _int_type,
+    _list_type,
     balance_capacities,
     effective_ranks,
     load_market,
@@ -258,7 +260,7 @@ class TestMarketFiles:
         loaded = load_market(path)
         assert loaded == m
         for lists in (loaded.pref_array, loaded.priority_array):
-            assert lists.dtype == np.int32 and not lists.flags.writeable
+            assert lists.dtype == np.int16 and not lists.flags.writeable
 
     @pytest.mark.parametrize("row, prefs", [
         ("0,0; ;1", (0, 1)),
@@ -445,7 +447,7 @@ class TestArrayStorage:
             assert m.capacities == tuple(caps)
             assert m.list_lengths.tolist() == [len(p) for p in prefs]
             assert m.priority_lengths.tolist() == [len(p) for p in prios]
-            assert m.pref_array.dtype == m.priority_array.dtype == np.int32
+            assert m.pref_array.dtype == m.priority_array.dtype == np.int16
             assert m.list_lengths.dtype == m.priority_lengths.dtype == np.int64
 
     def test_array_input_equals_nested_input(self):
@@ -490,23 +492,29 @@ class TestArrayStorage:
                 m.capacities = ()
 
     def test_read_only_int32_array_stored_without_copy(self):
+        # a read-only array already in the type its entries need is
+        # adopted: int32 for an entry past int16, as the unknown id 40000
         rng = np.random.default_rng(40)
-        read_only = np.array([rng.permutation(3) for _ in range(4)], dtype=np.int32)
+        read_only = np.array([rng.permutation(3) for _ in range(4)], dtype=np.int16)
         read_only.setflags(write=False)
-        writable = np.array([rng.permutation(4) for _ in range(3)], dtype=np.int32)
+        writable = np.array([rng.permutation(4) for _ in range(3)], dtype=np.int16)
         m = Market(capacities=(2, 1, 1), prefs=read_only, priorities=writable)
         assert np.shares_memory(m.pref_array, read_only)
         assert not np.shares_memory(m.priority_array, writable)
         kept = m.priority_array.copy()
         writable[0] = writable[0][::-1]
         assert np.array_equal(m.priority_array, kept)
-        # a read-only array of another dtype, int64 included, is
-        # converted, so copied
-        wide = read_only.astype(np.int64)
-        wide.setflags(write=False)
-        m = Market(capacities=(2, 1, 1), prefs=wide, priorities=kept)
-        assert not np.shares_memory(m.pref_array, wide)
-        assert m.pref_array.dtype == np.int32 and np.array_equal(m.pref_array, wide)
+        past_int16 = np.array([[0, 1, 40000]], dtype=np.int32)
+        past_int16.setflags(write=False)
+        m = Market(capacities=(1, 1, 1), prefs=past_int16, priorities=())
+        assert np.shares_memory(m.pref_array, past_int16)
+        # a read-only array of another dtype, int32 and int64 included,
+        # is converted to the narrowest type, so copied
+        for wide in (read_only.astype(np.int32), read_only.astype(np.int64)):
+            wide.setflags(write=False)
+            m = Market(capacities=(2, 1, 1), prefs=wide, priorities=kept)
+            assert not np.shares_memory(m.pref_array, wide)
+            assert m.pref_array.dtype == np.int16 and np.array_equal(m.pref_array, wide)
         # so is a read-only view of an array the caller can still write
         view = writable[:]
         view.setflags(write=False)
@@ -515,6 +523,51 @@ class TestArrayStorage:
         # a generated market stores both halves of its one draw
         generated = generate_uniform_market(5, 1)
         assert generated.pref_array.base is generated.priority_array.base is not None
+
+    def test_int_type_boundary(self):
+        # int16 holds -2**15..2**15 - 1, so the draw's and the tables'
+        # int32 branch starts at a largest value of 2**15
+        assert _int_type(0) is _int_type(2**15 - 1) is np.int16
+        assert _int_type(2**15) is _int_type(2**31 - 1) is np.int32
+        # a list is narrowed by its entries, negative ones included
+        for entries, dtype in (([], np.int16), ([-2**15, 2**15 - 1], np.int16),
+                               ([-2**15 - 1], np.int32), ([2**15], np.int32)):
+            assert _list_type(np.array(entries, dtype=np.int32)) is dtype
+            m = Market((1,), [entries], [()])
+            assert m.pref_array.dtype == dtype and m.prefs == (tuple(entries),)
+
+    @pytest.mark.parametrize("m_schools, dtype", [(2**15 - 3, np.int16), (2**15 - 2, np.int32)])
+    def test_rank_table_sentinel_reads_back(self, m_schools, dtype):
+        # one student ranking school 0 of m: the sentinel m + 2 is the
+        # table's largest value, and 32 768 does not fit int16
+        m = Market(capacities=(1,) * m_schools, prefs=[[0]], priorities=[(0,)] * m_schools)
+        assert m.rank_table.dtype == dtype and m.priority_table.dtype == np.int16
+        assert m.rank_table[0, 0] == 1 and (m.rank_table[0, 1:] == m_schools + 2).all()
+        assert not validate_market(m)
+
+    def test_padding_screened_past_the_unsigned_range(self):
+        # int16 lists among 2**16 + 1 schools: the -1 padding, read as
+        # the unsigned 65 535, is still a school index, and must spill
+        width = 2**16 + 1
+        prefs = [[0, 1], [5], []]
+        m = Market(capacities=(1,) * width, prefs=prefs, priorities=[()] * width)
+        assert m.pref_array.dtype == np.int16 and m.rank_table.dtype == np.int32
+        assert np.array_equal(m.rank_table, position_table_by_definition(prefs, width))
+        m = Market(capacities=(1,) * width, prefs=[[0, -2], [5]], priorities=[()] * width)
+        assert validate_market(m) == ["student 0: unknown school id -2"]
+
+    def test_id_past_int16_is_stored_and_reported(self):
+        # construction stores the id exactly; the screen reports it
+        m = Market(capacities=(1, 1, 1), prefs=[[0, 40000], [1]], priorities=[(0, 1)] * 3)
+        assert m.pref_array.dtype == np.int32 and m.prefs == ((0, 40000), (1,))
+        assert validate_market(m) == ["student 0: unknown school id 40000"]
+        with pytest.raises(ValueError, match="^student 0: unknown school id 40000$"):
+            m.rank_table
+
+    def test_loaded_market_is_int16(self):
+        m = load_market(Path(__file__).parent / "data" / "small_market.txt")
+        for name in ("pref_array", "priority_array", "rank_table", "priority_table"):
+            assert getattr(m, name).dtype == np.int16, name
 
     def test_nested_entries_must_be_exact_ids(self):
         # a fraction is refused, not truncated into a valid id

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from schoolmatch import simulate
 from schoolmatch.market import Allocation, Market, balance_capacities, save_market
 from schoolmatch.mechanisms import rank_minimizing
 from schoolmatch.metrics import rank_stats
@@ -93,7 +94,7 @@ class TestGenerateUniformMarket:
             base = np.tile(np.arange(n), (n, 1))
             prefs, priorities = rng.permuted(base, axis=1), rng.permuted(base, axis=1)
             m = generate_uniform_market(n, seed)
-            assert m.pref_array.dtype == m.priority_array.dtype == np.int32
+            assert m.pref_array.dtype == m.priority_array.dtype == np.int16
             assert np.array_equal(m.pref_array, prefs)
             assert np.array_equal(m.priority_array, priorities)
 
@@ -301,6 +302,37 @@ class TestRunExperiment:
         with pytest.raises(ExperimentError, match="replication 0: n must be at least 1"):
             run_experiment(config)
 
+    @pytest.mark.parametrize("from_file", [False, True], ids=["uniform", "file"])
+    @pytest.mark.parametrize("manipulation", [None, Manipulation("drop_first", 0.5)],
+                             ids=["truthful", "manipulated"])
+    def test_errors_name_the_replication_seeds(self, monkeypatch, tmp_path, from_file,
+                                               manipulation):
+        # replication 2 fails; its message names the seeds that replay it,
+        # leaving out the market seed of a file run and an unused manipulation's
+        replicate = simulate._replicate
+
+        def failing(config, fixed, r):
+            if r == 2:
+                raise ValueError("boom")
+            return replicate(config, fixed, r)
+
+        monkeypatch.setattr(simulate, "_replicate", failing)
+        path = tmp_path / "m.txt"
+        save_market(generate_uniform_market(6, 1), path)
+        master = 2**64 - 5
+        config = ExperimentConfig(n=6, replications=4, master_seed=master,
+                                  manipulation=manipulation,
+                                  market_path=str(path) if from_file else None)
+        with pytest.raises(ExperimentError) as info:
+            run_experiment(config)
+        tags = {"market": 0, "RSD": 1, "RM": 2, "manipulation": 3}
+        if from_file:
+            del tags["market"]
+        if manipulation is None:
+            del tags["manipulation"]
+        seeds = ", ".join(f"{name} {derive_seed(master, 2, tag)}" for name, tag in tags.items())
+        assert str(info.value) == f"replication 2: boom (seeds: {seeds})"
+
     @staticmethod
     def peak_of(config) -> int:
         """tracemalloc's peak over one run of ``config``, after a warm-up."""
@@ -321,22 +353,22 @@ class TestRunExperiment:
     def test_replication_holds_one_market(self):
         # each replication frees its market before the next one is drawn,
         # and stores its (2n, n) draw without a copy: the peak is that
-        # draw and the market's two (n, n) tables, 4 n^2 int32 cells or
-        # 2 n^2 * 8 bytes
+        # draw and the market's two (n, n) tables, 4 n^2 int16 cells or
+        # n^2 * 8 bytes
         n = 400
         config = ExperimentConfig(n=n, replications=3, master_seed=1,
                                   mechanisms=("DA", "TTC", "RSD"))
-        assert self.peak_of(config) < 3 * n * n * 8
+        assert self.peak_of(config) < 1.5 * n * n * 8
 
     def test_rm_holds_one_cost_matrix(self):
         # RM builds its shuffled (n, n) float cost matrix 64 rows at a
-        # time from the int32 rank table, with no n-row float table or
-        # row-permuted copy beside it: the peak is the market's 2 n^2 * 8
+        # time from the int16 rank table, with no n-row float table or
+        # row-permuted copy beside it: the peak is the market's n^2 * 8
         # bytes and that matrix's n^2 * 8
         n = 400
         config = ExperimentConfig(n=n, replications=3, master_seed=1,
                                   mechanisms=("RM", "TTC", "DA"))
-        assert self.peak_of(config) < 3.5 * n * n * 8
+        assert self.peak_of(config) < 2.5 * n * n * 8
 
 
 class TestPartialListPipeline:
