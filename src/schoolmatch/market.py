@@ -548,7 +548,8 @@ def _list_ids(rows: list[tuple[int, str]]) -> tuple[np.ndarray, np.ndarray]:
     suspects = np.append(odd, ends[(sizes < 1) | (sizes > 18)])
     lengths = np.diff(np.searchsorted(ends, newlines, side="right"), prepend=0)
     bad, huge = [], False
-    for i in np.unique(np.searchsorted(newlines, suspects)).tolist():
+    # sorted(set()), not np.unique: np.unique imports numpy.ma on first use
+    for i in sorted(set(np.searchsorted(newlines, suspects).tolist())):
         lineno, text = rows[i]
         try:
             ints = [int(tok) for tok in text.split(";") if tok.strip()]
