@@ -22,6 +22,21 @@ that layer the row with the least reduced cost to the column, the first
 among ties, is the predecessor.  The potentials are then updated from
 the stored layers.
 
+Many columns may be copies of one another: RM gives every seat of a
+school, and every "stay unassigned" seat, the same column of costs.
+``columns`` names, for each column solved over, the column of ``cost``
+it copies, so the matrix of copies is never built.  The result is that
+of the matrix of copies, exactly.  The search never scans a free column,
+so a free column's potential stays 0, and all free copies of one column
+have equal distances throughout every search; the sink is the
+lowest-index free column at the least distance, so only a class's
+lowest-index free copy can become it.  The solver therefore holds every
+matched copy and one free copy per class, the lowest-index one, and
+adds the class's next copy when that one is matched.  Ties are broken
+by original column index: at the sink, and among a layer's rows in the
+path trace.  Each matched column keeps its row's cost, so a layer's
+duals are read without a 2-D gather.
+
 Costs are nonnegative reals; ``inf`` marks a forbidden pairing (an
 unranked school, when costs are preference ranks).  NaN and negative
 entries, ``-inf`` included, are refused.  Integer costs are exact: every
@@ -55,8 +70,16 @@ class AssignmentResult:
     total_cost: int | float
 
 
-def min_cost_assignment(cost) -> AssignmentResult:
+def min_cost_assignment(cost, columns=None) -> AssignmentResult:
     """Exact minimum-cost matching of every row to a distinct column.
+
+    ``columns`` lists, for each column of the matrix solved over, the
+    column of ``cost`` it copies: the result is exactly that of
+    ``min_cost_assignment(cost[:, columns])``, matching, total and
+    refusals alike, without building that matrix.  ``None`` means every
+    column of ``cost`` once, in order.  A column of ``cost`` that
+    ``columns`` leaves out is neither checked nor solved over, and an
+    entry that is not an index of one raises ValueError.
 
     Rows are matched one at a time.  A row whose cheapest reduced cost
     is attained by a free column takes the lowest-index such column.
@@ -72,11 +95,23 @@ def min_cost_assignment(cost) -> AssignmentResult:
     InfeasibleAssignmentError when no matching has finite cost.
     """
     c = np.asarray(cost, dtype=np.float64, order="C")  # rows are gathered below
-    if c.ndim != 2 or 0 in c.shape:
+    if c.ndim != 2:
         raise ValueError(f"cost matrix must be 2-D and non-empty, got shape {c.shape}")
-    n_rows, n_cols = c.shape
+    index = np.arange(c.shape[1]) if columns is None else np.asarray(columns)
+    if index.ndim != 1 or index.size and (
+            index.dtype.kind not in "iu" or index.min() < 0 or index.max() >= c.shape[1]):
+        raise ValueError(f"columns must be a list of column indices below {c.shape[1]}")
+    n_rows, n_cols = c.shape[0], index.size
+    if 0 in (n_rows, n_cols):
+        raise ValueError(f"cost matrix must be 2-D and non-empty, got shape {(n_rows, n_cols)}")
     if n_rows > n_cols:
         raise ValueError(f"more rows than columns: {n_rows} > {n_cols}")
+    copies = [[] for _ in range(c.shape[1])]  # each class's copies, in column order
+    for position, k in enumerate(index.tolist()):
+        copies[k].append(position)
+    if not all(copies):
+        c = c[:, [bool(cp) for cp in copies]]
+        copies = [cp for cp in copies if cp]
     row_min = c.min(axis=1)  # NaN in a row holding NaN, inf in a row of infs
     lowest = row_min.min()
     if np.isnan(lowest):
@@ -92,14 +127,31 @@ def min_cost_assignment(cost) -> AssignmentResult:
     blocks = (c[i : i + 64] for i in range(0, n_rows, 64))
     integral = all((np.round(block) == block).all() for block in blocks)
 
-    v = np.zeros(n_cols)  # column potentials; row duals are recomputed on the fly
-    row_of_col = np.full(n_cols, -1, dtype=np.int64)
+    # Slot k holds class k's first copy; a class's next copy takes the
+    # next unused slot when the one before it is matched.
+    n_classes = c.shape[1]
+    n_slots = min(n_cols, n_classes + n_rows)
+    later = [iter(cp) for cp in copies]  # each class's copies not yet in a slot
+    column = np.empty(n_slots, dtype=np.int64)  # the column each slot stands for
+    column[:n_classes] = [next(copy) for copy in later]
+    cls = np.empty(n_slots, dtype=np.intp)  # and its class
+    cls[:n_classes] = np.arange(n_classes)
+    n_live = n_classes
+    # while slots are in column order, the first slot is the first column
+    ordered = bool((column[1:n_classes] > column[: n_classes - 1]).all())
+    v = np.zeros(n_slots)  # column potentials; row duals are recomputed on the fly
+    held = np.zeros(n_slots)  # the matched row's cost, so duals need no 2-D gather
+    row_of_col = np.full(n_slots, -1, dtype=np.int64)
     col_of_row = np.full(n_rows, -1, dtype=np.int64)
-    free = np.ones(n_cols, dtype=bool)
+    free = np.ones(n_slots, dtype=bool)
 
+    def live(costs):  # costs over classes as costs over the live slots
+        return costs.take(cls[:n_live], axis=-1) if n_live > n_classes else costs
+
+    live_v, live_free = v[:n_live], free[:n_live]
     for cur_row in range(n_rows):
         # Dijkstra from cur_row over columns in the reduced-cost graph.
-        shortest = c[cur_row] - v
+        shortest = live(c[cur_row]) - live_v
         layers = []  # (columns, distance, rows reached, their duals) per layer
         reached = []  # the distances each layer reached, for tracing the path back
         while True:
@@ -109,9 +161,12 @@ def min_cost_assignment(cost) -> AssignmentResult:
                     f"infeasible row {cur_row}: no augmenting path with finite cost"
                 )
             nearest = shortest == min_val
-            sink = nearest & free
-            j = int(sink.argmax())  # the lowest-index free column at min_val
+            sink = nearest & live_free
+            j = int(sink.argmax())
             if sink[j]:
+                if not ordered:  # the lowest-index free column, not the lowest slot
+                    sinks = sink.nonzero()[0]
+                    j = int(sinks[column[sinks].argmin()])
                 break
             # Scan the whole tie layer: reduced costs are nonnegative, so
             # the order of columns at one distance does not matter.  In
@@ -120,14 +175,14 @@ def min_cost_assignment(cost) -> AssignmentResult:
             if len(cols) == 1:  # scalar indexing: the same operations, fewer calls
                 cols = int(cols[0])
                 rows = int(row_of_col[cols])
-                u = c[rows, cols] - v[cols]  # the dual of the row reached
-                reach = c[rows] - v
+                u = held[cols] - v[cols]  # the dual of the row reached
+                reach = live(c[rows]) - live_v
                 reach -= u
             else:
                 rows = row_of_col[cols]
-                u = c[rows, cols] - v[cols]  # duals of the rows reached
-                reach = c.take(rows, axis=0)
-                reach -= v
+                u = held[cols] - v[cols]  # duals of the rows reached
+                reach = live(c.take(rows, axis=0))
+                reach -= live_v
                 reach -= u[:, None]
                 reach = reach.min(axis=0)
             reach += min_val
@@ -136,6 +191,12 @@ def min_cost_assignment(cost) -> AssignmentResult:
             layers.append((cols, min_val, rows, u))
             reached.append(reach)
         free[j] = False
+        copy = next(later[cls[j]], None) if n_live < n_slots else None
+        if copy is not None:  # the class's next copy is now its free one
+            column[n_live], cls[n_live] = copy, cls[j]
+            ordered &= copy > column[n_live - 1]
+            n_live += 1
+            live_v, live_free = v[:n_live], free[:n_live]
         # Flip the path.  A column's predecessor is cur_row, or a row of the
         # last layer that strictly shortened it: the first minimum of its
         # distance from cur_row and its reach in each layer before the one
@@ -144,20 +205,26 @@ def min_cost_assignment(cost) -> AssignmentResult:
         # unchanged since the search, so these are the numbers it compared.
         scanned_by = len(layers)
         while True:
-            layer, best = -1, c[cur_row, j] - v[j]
-            for k in range(scanned_by):
-                reach = reached[k][j]
+            k = cls[j]
+            layer, best = -1, c[cur_row, k] - v[j]
+            for scan in range(scanned_by):
+                reach = reached[scan][j]
                 if reach < best:
-                    layer, best = k, reach
+                    layer, best = scan, reach
             if layer < 0:
                 i = cur_row
             else:
-                _, _, rows, u = layers[layer]
+                cols, _, rows, u = layers[layer]
                 if isinstance(rows, int):  # a one-row layer
                     i = rows
-                else:
-                    i = int(rows[(c[rows, j] - v[j] - u).argmin()])
-            row_of_col[j] = i
+                else:  # the least reduced cost, first by column among ties
+                    d = c[rows, k] - v[j] - u
+                    if ordered:
+                        i = int(rows[d.argmin()])
+                    else:
+                        ties = (d == d.min()).nonzero()[0]
+                        i = int(rows[ties[column[cols[ties]].argmin()]])
+            row_of_col[j], held[j] = i, c[i, k]
             col_of_row[i], j = j, col_of_row[i]
             if i == cur_row:
                 break
@@ -166,5 +233,6 @@ def min_cost_assignment(cost) -> AssignmentResult:
         for scanned, dist, _, _ in layers:
             v[scanned] += dist - min_val
 
-    total = c[np.arange(n_rows), col_of_row].sum()
-    return AssignmentResult(tuple(col_of_row.tolist()), int(total) if integral else float(total))
+    total = held[col_of_row].sum()
+    return AssignmentResult(tuple(column[col_of_row].tolist()),
+                            int(total) if integral else float(total))

@@ -99,7 +99,10 @@ def _int_type(largest: int) -> type:
 
 
 def _list_type(entries: np.ndarray) -> type:
-    """``_int_type`` of int32-exact list ``entries`` and the -1 padding."""
+    """``_int_type`` of int32-exact list ``entries`` and the -1 padding.
+    int16 is the narrowest type, so int16 entries are not scanned."""
+    if entries.dtype == np.int16:
+        return np.int16
     return _int_type(max(int(entries.max(initial=0)), -1 - int(entries.min(initial=-1))))
 
 

@@ -165,9 +165,13 @@ def random_serial_dictatorship(market: Market, seed: int) -> Allocation:
     return serial_dictatorship(market, rng.permutation(market.n_students))
 
 
-def _shuffled_rank_costs(market: Market, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """RM's cost matrix, rows and seats shuffled by ``seed``; each column's
-    school (UNASSIGNED for a "stay unassigned" seat); the row permutation."""
+def _shuffled_rank_costs(market: Market, seed: int
+                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """RM's cost table, rows and seats shuffled by ``seed``: one column per
+    seat class (a school, or "stay unassigned"), in the order the classes
+    first appear among the shuffled seats; each seat's column in it; each
+    seat's school (UNASSIGNED for a "stay unassigned" seat); the row
+    permutation.  ``table[:, columns]`` is the matrix over seats."""
     ranks, lengths = market.rank_table, market.list_lengths
     n, m = ranks.shape
     seats = np.repeat(np.arange(m), market.capacities)
@@ -176,9 +180,12 @@ def _shuffled_rank_costs(market: Market, seed: int) -> tuple[np.ndarray, np.ndar
     rng = np.random.default_rng(seed)
     row_perm = rng.permutation(n)
     seats = seats[rng.permutation(len(seats))]
-    cost = np.empty((n, len(seats)))
+    # each class's buffer column, in the order of the classes' first seats
+    classes = list(dict.fromkeys((seats + 1).tolist()))
+    column_of = np.empty(m + 1, dtype=np.intp)
+    column_of[classes] = np.arange(len(classes))
+    table = np.empty((n, len(classes)))
     buffer = np.empty((64, m + 1))  # column 0 holds k+1, column s+1 school s
-    cols = seats + 1  # so UNASSIGNED (-1) reads column 0
     for i in range(0, n, 64):
         rows = row_perm[i : i + 64]
         block = buffer[: len(rows)]
@@ -187,8 +194,8 @@ def _shuffled_rank_costs(market: Market, seed: int) -> tuple[np.ndarray, np.ndar
         # ranked schools sit at 1..k <= m, unranked ones at m + 2
         np.copyto(block[:, 1:], np.inf, where=block[:, 1:] > m)
         # every index is in range; "clip", unlike "raise", fills out unbuffered
-        block.take(cols, axis=1, out=cost[i : i + 64], mode="clip")
-    return cost, seats, row_perm
+        block.take(classes, axis=1, out=table[i : i + 64], mode="clip")
+    return table, column_of[seats + 1], seats, row_perm
 
 
 def rank_minimizing(market: Market, seed: int) -> Allocation:
@@ -201,11 +208,13 @@ def rank_minimizing(market: Market, seed: int) -> Allocation:
     of optima).  The total cost of the underlying matching equals the
     sum of effective ranks, including k+1 for each unassigned student.
 
-    The solver's matrix is built 64 rows at a time from the integer
+    The solver reads one column per seat class, not per seat: a school's
+    seats, and the "stay unassigned" seats, share a column of costs.
+    That table is built 64 rows at a time from the integer
     ``rank_table`` through a small buffer; no other copy is alive.
     """
-    cost, seats, row_perm = _shuffled_rank_costs(market, seed)
-    result = min_cost_assignment(cost)
+    table, columns, seats, row_perm = _shuffled_rank_costs(market, seed)
+    result = min_cost_assignment(table, columns)
     assignment = np.empty(market.n_students, dtype=np.int64)
     assignment[row_perm] = seats[list(result.col_of_row)]
     return Allocation(assignment)

@@ -1,10 +1,11 @@
 """The solver and RM against their earlier forms, kept in ``oracles``.
 
-The 64-row-block cost matrix and the NaN-masked layer loop, which traces
-predecessors back from each layer's stored distances, must give the
-same matching as the two-step matrix build and the ``done``-mask loop
-with its ``pred_row`` array on every input, not only the same cost:
-RM's CSV depends on which optimum the solver picks among ties.
+The 64-row-block class table and the NaN-masked layer loop, which
+solves over a table's columns and their copies and traces predecessors
+back from each layer's stored distances, must give the same matching
+as the two-step seat matrix build and the ``done``-mask loop with its
+``pred_row`` array on every input, not only the same cost: RM's CSV
+depends on which optimum the solver picks among ties.
 """
 
 import re
@@ -12,7 +13,7 @@ import re
 import numpy as np
 import pytest
 
-from schoolmatch.assignment import InfeasibleAssignmentError, min_cost_assignment
+from schoolmatch.assignment import AssignmentResult, min_cost_assignment
 from schoolmatch.market import Market
 from schoolmatch.mechanisms import _shuffled_rank_costs, rank_minimizing
 from schoolmatch.simulate import generate_uniform_market
@@ -26,16 +27,18 @@ from oracles import (
 from test_solver_vs_scipy import partial_market
 
 
-def check_same_result(cost):
-    """Equal matchings and totals of equal type, or the same refusal;
-    True when the matrix has a finite-cost matching."""
+def check_same_result(cost, columns=None):
+    """Equal matchings and totals of equal type, or the same refusal, from
+    the solver on ``cost`` and ``columns`` and the reference on
+    ``cost[:, columns]``; True when that matrix has a finite-cost matching."""
     try:
-        expected = reference_min_cost_assignment(cost)
-    except InfeasibleAssignmentError as exc:
-        with pytest.raises(InfeasibleAssignmentError, match=f"^{re.escape(str(exc))}$"):
-            min_cost_assignment(cost)
+        expected = reference_min_cost_assignment(cost if columns is None else cost[:, columns])
+    except ValueError as exc:  # InfeasibleAssignmentError included
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$") as refusal:
+            min_cost_assignment(cost, columns)
+        assert type(refusal.value) is type(exc)
         return False
-    result = min_cost_assignment(cost)
+    result = min_cost_assignment(cost, columns)
     assert result == expected
     assert type(result.total_cost) is type(expected.total_cost)
     return True
@@ -101,16 +104,69 @@ def test_quarter_step_search_sizes():
         assert isinstance(min_cost_assignment(cost).total_cost, float)
 
 
+@pytest.mark.parametrize("step", [1.0, 0.25, 0.1, 0.0],
+                         ids=["ranks", "quarters", "tenths", "continuous"])
+def test_class_tables(step):
+    # a few classes, each with many copies named in no particular order;
+    # rows with no finite class, or too few copies of theirs, are infeasible
+    rng = np.random.default_rng(75)
+    solved = 0
+    for trial in range(240):
+        nr = int(rng.integers(40, 151)) if trial % 20 == 0 else int(rng.integers(1, 13))
+        n_classes = int(rng.integers(1, 9))
+        table = rng.random((nr, n_classes)) * 4
+        if step:
+            table = np.round(table / step) * step
+        table[rng.random((nr, n_classes)) < rng.uniform(0.0, 0.4)] = np.inf
+        columns = rng.integers(0, n_classes, size=nr + int(rng.integers(0, 9)))
+        solved += check_same_result(table, columns)
+    assert 0 < solved < 240
+
+
+@pytest.mark.parametrize(
+    "table, columns",
+    [
+        (np.array([[1.0, np.nan], [2.0, 0.0]]), [1, 1, 0]),
+        (np.array([[1.0, -1.0]]), [0, 1]),
+        (np.ones((3, 2)), [1, 0]),
+        (np.ones((2, 2)), np.array([], dtype=int)),
+        (np.array([[np.inf, 1.0], [np.inf, 1.0]]), [0, 1, 0]),  # one copy of class 1
+    ],
+    ids=["nan", "negative", "more-rows", "no-columns", "too-few-copies"],
+)
+def test_class_table_refusals(table, columns):
+    assert not check_same_result(table, columns)
+
+
+def test_columns_left_out_are_ignored():
+    # a column of the table that no copy names is neither checked nor
+    # solved over: its NaN, negative entry and fraction change nothing
+    table = np.array([[1.0, np.nan, 2.0, 0.5], [3.0, -1.0, 1.0, 0.5]])
+    assert check_same_result(table, [2, 0, 0, 2])
+    assert min_cost_assignment(table, [2, 0, 0, 2]) == AssignmentResult((1, 0), 2)
+
+
+@pytest.mark.parametrize("columns", [[0, 3], [-1, 0], [0.0, 1.0], [[0, 1]], [True, False]],
+                         ids=["past-the-end", "negative", "float", "2-D", "bool"])
+def test_columns_outside_the_table_refused(columns):
+    with pytest.raises(ValueError, match="^columns must be a list of column indices below 3$"):
+        min_cost_assignment(np.ones((2, 3)), columns)
+
+
 def assert_same_shuffled_costs(market, seed):
-    """RM's block-built matrix, the school of each column and the row
-    permutation equal the full matrix's ``np.ix_`` copy, entry for entry."""
-    cost, seats, row_perm = _shuffled_rank_costs(market, seed)
+    """RM's block-built table read through its seats' columns, the school
+    of each seat and the row permutation equal the full seat matrix's
+    ``np.ix_`` copy, entry for entry; the table has one column per seat
+    class, in the order the classes first appear among the seats."""
+    table, columns, seats, row_perm = _shuffled_rank_costs(market, seed)
     expected, schools, expected_perm = reference_shuffled_cost_matrix(market, seed)
-    assert cost.dtype == np.float64 and cost.flags.c_contiguous
+    assert table.dtype == np.float64 and table.flags.c_contiguous
     assert np.array_equal(row_perm, expected_perm)
     assert np.array_equal(seats, schools)
-    assert np.array_equal(cost, expected)
-    return cost
+    assert np.array_equal(table[:, columns], expected)
+    # each new class is one past the highest column seen before it
+    assert np.array_equal(np.unique(np.maximum.accumulate(columns)), np.arange(table.shape[1]))
+    return table, columns
 
 
 @pytest.mark.parametrize(
@@ -127,7 +183,14 @@ def assert_same_shuffled_costs(market, seed):
 def test_shuffled_rank_matrices(build):
     market = build()
     for seed in (68, 69, 70):
-        assert check_same_result(assert_same_shuffled_costs(market, seed))
+        assert check_same_result(*assert_same_shuffled_costs(market, seed))
+
+
+def test_unit_seat_table_is_the_seat_matrix():
+    # unit capacities and full lists: each class is one seat, so the
+    # table is the seat matrix and its columns are read in order
+    table, columns = assert_same_shuffled_costs(generate_uniform_market(65, 78), 79)
+    assert table.shape == (65, 65) and np.array_equal(columns, np.arange(65))
 
 
 def test_shuffled_rank_matrices_whole_input_space():
@@ -148,5 +211,20 @@ def test_rank_minimizing_same_allocation():
     for _ in range(300):
         caps, prefs, prios = random_market_lists(rng, max_students=30, max_schools=10)
         market = Market(capacities=caps, prefs=prefs, priorities=prios)
+        seed = int(rng.integers(0, 2**32))
+        assert rank_minimizing(market, seed) == reference_rank_minimizing(market, seed)
+
+
+def test_rank_minimizing_many_seat_schools():
+    # 5-12 seats a school, some cut to zero, short lists in half the
+    # markets, sizes unbalanced both ways: many seats share each column
+    rng = np.random.default_rng(76)
+    for trial in range(40):
+        _, prefs, prios = random_market_lists(rng, max_students=120, max_schools=12)
+        caps = rng.integers(5, 13, size=len(prios))
+        caps[rng.random(len(caps)) < 0.2] = 0
+        if trial % 2:
+            prefs = [p[:3] for p in prefs]
+        market = Market(capacities=caps.tolist(), prefs=prefs, priorities=prios)
         seed = int(rng.integers(0, 2**32))
         assert rank_minimizing(market, seed) == reference_rank_minimizing(market, seed)

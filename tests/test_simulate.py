@@ -22,6 +22,7 @@ from schoolmatch.simulate import (
 )
 
 from oracles import manipulated_prefs_by_tuples, random_market_lists
+from test_solver_vs_scipy import partial_market
 
 
 class TestDeriveSeed:
@@ -334,16 +335,16 @@ class TestRunExperiment:
         assert str(info.value) == f"replication 2: boom (seeds: {seeds})"
 
     @staticmethod
-    def peak_of(config) -> int:
-        """tracemalloc's peak over one run of ``config``, after a warm-up."""
-        run_experiment(config)  # warm-up: imports and lazy set-up
+    def peak_of(run, *args) -> int:
+        """tracemalloc's peak over one call of ``run(*args)``, after a warm-up."""
+        run(*args)  # warm-up: imports and lazy set-up
         tracing = tracemalloc.is_tracing()
         if not tracing:
             tracemalloc.start()
         try:
             tracemalloc.reset_peak()
             before, _ = tracemalloc.get_traced_memory()
-            run_experiment(config)
+            run(*args)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             if not tracing:
@@ -358,7 +359,7 @@ class TestRunExperiment:
         n = 400
         config = ExperimentConfig(n=n, replications=3, master_seed=1,
                                   mechanisms=("DA", "TTC", "RSD"))
-        assert self.peak_of(config) < 1.5 * n * n * 8
+        assert self.peak_of(run_experiment, config) < 1.5 * n * n * 8
 
     def test_rm_holds_one_cost_matrix(self):
         # RM builds its shuffled (n, n) float cost matrix 64 rows at a
@@ -368,7 +369,17 @@ class TestRunExperiment:
         n = 400
         config = ExperimentConfig(n=n, replications=3, master_seed=1,
                                   mechanisms=("RM", "TTC", "DA"))
-        assert self.peak_of(config) < 2.5 * n * n * 8
+        assert self.peak_of(run_experiment, config) < 2.5 * n * n * 8
+
+    def test_rm_holds_one_column_per_seat_class(self):
+        # on a partial-list market of 4-seat schools RM's table holds one
+        # column per school and one for "stay unassigned": n * (m + 1)
+        # cells, where a matrix over seats holds n * (4m + n), 8 times as
+        # many here.  The solve peaks at about 2.5 times the table; its
+        # widest layer is about as large as the table
+        n, m = 400, 100
+        market = partial_market(n, m, 4, 8, 77)
+        assert self.peak_of(rank_minimizing, market, 1) < 4 * n * (m + 1) * 8
 
 
 class TestPartialListPipeline:
