@@ -5,13 +5,14 @@ reduced-cost graph, maintaining dual potentials so edge weights stay
 nonnegative (Jonker-Volgenant style successive shortest paths).  Worst
 case O(rows * cols^2).  Rank costs are small integers, so many columns
 tie at each distance.  The Dijkstra search from a row advances one tie
-layer at a time, scanning every column of the layer and relaxing all
-their matched rows in one vectorized step; scanned columns are marked
-NaN in the distance array, so every comparison and ``np.fmin``
-reduction skips them and ``np.minimum`` keeps them marked.  The search
-stops at the first layer holding a free column and takes the
-lowest-index one; a row whose nearest columns include a free one is
-matched before any layer is scanned.
+layer at a time, scanning every column of the layer and relaxing their
+matched rows 64 at a time into a running minimum, so a layer's
+temporary is at most 64 rows of the live columns however wide the layer
+is.  Scanned columns are marked NaN in the distance array, so every
+comparison and ``np.fmin`` reduction skips them and ``np.minimum``
+keeps them marked.  The search stops at the first layer holding a free
+column and takes the lowest-index one; a row whose nearest columns
+include a free one is matched before any layer is scanned.
 
 No predecessor is recorded during the search.  Each layer keeps the
 distances it reached, and the augmenting path is traced back from them
@@ -178,13 +179,17 @@ def min_cost_assignment(cost, columns=None) -> AssignmentResult:
                 u = held[cols] - v[cols]  # the dual of the row reached
                 reach = live(c[rows]) - live_v
                 reach -= u
-            else:
+            else:  # 64 rows at a time into a running minimum
                 rows = row_of_col[cols]
                 u = held[cols] - v[cols]  # duals of the rows reached
-                reach = live(c.take(rows, axis=0))
-                reach -= live_v
-                reach -= u[:, None]
-                reach = reach.min(axis=0)
+                reach = None
+                for i in range(0, rows.size, 64):
+                    block = live(c.take(rows[i : i + 64], axis=0))
+                    block -= live_v
+                    block -= u[i : i + 64, None]
+                    least = block.min(axis=0)
+                    del block  # so that two blocks are never alive at once
+                    reach = least if reach is None else np.minimum(reach, least, out=reach)
             reach += min_val
             shortest[cols] = np.nan  # scanned: never relaxed or chosen again
             np.minimum(shortest, reach, out=shortest)  # NaN propagates

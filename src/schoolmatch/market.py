@@ -22,6 +22,10 @@ mechanisms the tables its validation built.  The preference screen also
 refuses a negative capacity (zero seats are allowed), and the priority
 screen priorities that do not cover exactly one list per school.
 
+``load_market`` parses list rows in blocks of about 32 K characters, and
+``save_market`` writes them 4 K cells at a time, so no temporary spans
+a file.
+
 Markets and allocations are immutable after construction and every
 operation here is a pure function, so instances can be shared freely
 across threads.
@@ -454,17 +458,27 @@ def balance_capacities(market: Market) -> Market:
 # save_market emits canonical ordering: ids ascending within each section.
 
 
+#: List characters parsed (a longer row is a block of its own), and list
+#: cells written, at a time: no temporary of a load or save spans a file.
+_BLOCK_CHARS, _BLOCK_CELLS = 1 << 15, 1 << 12
+
+
 def load_market(path: str | Path) -> Market:
     """Parse a market file; raises MarketFormatError naming the first
-    problem in file order, with its line number where it has one.  The
-    line loop keeps each list row's text for ``_list_ids`` to read."""
+    problem in file order, with its line number where it has one.  Each
+    whole-file copy goes once it has been read: the bytes once decoded,
+    each line once the line loop has taken its tail.  The loop keeps each
+    list row's text for ``_read_lists`` to parse in blocks."""
     data = Path(path).read_bytes().removeprefix(b"\xef\xbb\xbf")  # tolerate a byte-order mark
     try:
-        lines = data.decode("utf-8").splitlines()
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         lineno = len((data[:exc.start].decode("utf-8") + "|").splitlines())
         raise MarketFormatError(f"line {lineno}: not UTF-8 text "
                                 f"(byte 0x{data[exc.start]:02x}: {exc.reason})") from None
+    del data  # before the lines are split: at most two copies of the file at once
+    lines = text.splitlines()
+    del text
     schools: dict[int, int] = {}
     students: dict[int, tuple[int, str]] = {}  # id -> (line number, list text)
     priorities: dict[int, tuple[int, str]] = {}
@@ -473,6 +487,7 @@ def load_market(path: str | Path) -> Market:
     section = None
     try:
         for lineno, raw in enumerate(lines, start=1):
+            lines[lineno - 1] = None  # the line goes once its tail is taken
             line = raw.strip()
             if not line:
                 continue
@@ -498,27 +513,33 @@ def load_market(path: str | Path) -> Market:
                 rows[ident] = int(tail)
             except ValueError as exc:
                 raise MarketFormatError(f"line {lineno}: {exc}") from None
+        if not students:
+            raise MarketFormatError("no students")
+        if not schools:
+            raise MarketFormatError("no schools")
+        for sid in priorities:
+            if sid not in schools:
+                raise MarketFormatError(f"priorities given for unknown school id {sid}")
     except MarketFormatError:
-        _list_ids([*students.values(), *priorities.values()])  # an earlier bad list token wins
+        rows = [*students.values(), *priorities.values()]
+        if bad := [problem for *_, found in _list_blocks(rows) for problem in found]:
+            raise MarketFormatError("line {}: {}".format(*min(bad)))  # an earlier bad token wins
         raise
 
     school_ids = sorted(schools)
     student_ids = sorted(students)
-    values, lengths = _list_ids([*(students[tid] for tid in student_ids),
-                                 *(priorities.get(sid, (0, "")) for sid in school_ids),
-                                 *(row for sid, row in priorities.items() if sid not in schools)])
-    if not students:
-        raise MarketFormatError("no students")
-    if not schools:
-        raise MarketFormatError("no schools")
-    for sid in priorities:
-        if sid not in schools:
-            raise MarketFormatError(f"priorities given for unknown school id {sid}")
+    bad: list[tuple[int, str]] = []
+    # popped, so that each section's text goes once it has been parsed
+    prefs = _read_lists([students.pop(tid) for tid in student_ids], school_ids,
+                        student_ids, "student", "school", bad)
+    prios = _read_lists([priorities.pop(sid, (0, "")) for sid in school_ids], student_ids,
+                        school_ids, "school", "student", bad)
+    if bad:
+        raise MarketFormatError("line {}: {}".format(*min(bad)))
+    for *_, unknown in (prefs, prios):
+        if unknown:
+            raise MarketFormatError(unknown)
 
-    n = len(student_ids)
-    cut = int(lengths[:n].sum())
-    prefs = _indices(values[:cut], lengths[:n], school_ids, student_ids, "student", "school")
-    prios = _indices(values[cut:], lengths[n:], student_ids, school_ids, "school", "student")
     market = Market._of(capacities=tuple(schools[sid] for sid in school_ids),
                         pref_array=prefs[0], list_lengths=prefs[1],
                         priority_array=prios[0], priority_lengths=prios[1],
@@ -529,78 +550,124 @@ def load_market(path: str | Path) -> Market:
     return market
 
 
-def _list_ids(rows: list[tuple[int, str]]) -> tuple[np.ndarray, np.ndarray]:
-    """(ids laid end to end, list lengths) of (line number, text) list
-    rows, each token read as int() reads it, blank ones skipped; the
-    lowest line holding a token int() refuses raises MarketFormatError.
+def _list_blocks(rows: list[tuple[int, str]]):
+    """Per block of (line number, text) list ``rows`` (the rows whose
+    text starts in one ``_BLOCK_CHARS`` window of the rows laid end
+    to end, so at most about that long, or one longer row): (first row,
+    ids laid end to end, list lengths, bad tokens), each token read as
+    int() reads it, blank ones skipped.  Bad tokens are (line number,
+    message) of each row holding a token int() refuses; a block with one
+    reads no ids (None).
 
     One C-level parse reads every row, but on its own it would read a
     blank token as 0 and cap a 20-digit id at the int64 maximum.  So a
     row that is not 1- to 18-digit ASCII tokens joined by single ';'
     (which int64 holds exactly) is first read token by token and written
     back as its ids' decimal strings; if one of those needs 19 digits or
-    more, all ids are read as Python ints instead.
+    more, the block's ids are read as Python ints instead.
     """
-    texts = [text for _, text in rows]
-    # every token ends at a ';' or at its row's '\n'
-    raw = np.frombuffer("\n".join([*texts, ""]).encode(), dtype=np.uint8)
-    newlines = np.flatnonzero(raw == ord("\n"))
-    ends = np.flatnonzero((raw == ord(";")) | (raw == ord("\n")))
-    sizes = np.diff(ends, prepend=-1) - 1
-    odd = np.flatnonzero((raw - ord("0") > 9) & (raw != ord(";")) & (raw != ord("\n")))
-    suspects = np.append(odd, ends[(sizes < 1) | (sizes > 18)])
-    lengths = np.diff(np.searchsorted(ends, newlines, side="right"), prepend=0)
-    bad, huge = [], False
-    # sorted(set()), not np.unique: np.unique imports numpy.ma on first use
-    for i in sorted(set(np.searchsorted(newlines, suspects).tolist())):
-        lineno, text = rows[i]
-        try:
-            ints = [int(tok) for tok in text.split(";") if tok.strip()]
-        except ValueError as exc:
-            bad.append((lineno, str(exc)))
-            continue
-        texts[i], lengths[i] = ";".join(map(str, ints)), len(ints)
-        huge = huge or max(map(abs, ints), default=0) >= 10**18
-    if bad:
-        raise MarketFormatError("line {}: {}".format(*min(bad)))
-    joined = ";".join(filter(None, texts))
-    if not huge:
-        return np.fromstring(joined, dtype=np.int64, sep=";"), lengths
-    return np.array([int(tok) for tok in joined.split(";")], dtype=object), lengths
+    chars = np.fromiter((len(text) + 1 for _, text in rows), dtype=np.int64, count=len(rows))
+    cuts = (np.flatnonzero(np.diff((np.cumsum(chars) - chars) // _BLOCK_CHARS)) + 1).tolist()
+    for start, stop in zip([0, *cuts], [*cuts, len(rows)]):
+        texts = [text for _, text in rows[start:stop]]
+        # every token ends at a ';' or at its row's '\n'
+        raw = np.frombuffer("\n".join([*texts, ""]).encode(), dtype=np.uint8)
+        newlines = np.flatnonzero(raw == ord("\n"))
+        ends = np.flatnonzero((raw == ord(";")) | (raw == ord("\n")))
+        sizes = np.diff(ends, prepend=-1) - 1
+        odd = np.flatnonzero((raw - ord("0") > 9) & (raw != ord(";")) & (raw != ord("\n")))
+        suspects = np.append(odd, ends[(sizes < 1) | (sizes > 18)])
+        lengths = np.diff(np.searchsorted(ends, newlines, side="right"), prepend=0)
+        bad, huge = [], False
+        # sorted(set()), not np.unique: np.unique imports numpy.ma on first use
+        for i in sorted(set(np.searchsorted(newlines, suspects).tolist())):
+            lineno, text = rows[start + i]
+            try:
+                ints = [int(tok) for tok in text.split(";") if tok.strip()]
+            except ValueError as exc:
+                bad.append((lineno, str(exc)))
+                continue
+            texts[i], lengths[i] = ";".join(map(str, ints)), len(ints)
+            huge = huge or max(map(abs, ints), default=0) >= 10**18
+        joined = ";".join(filter(None, texts))
+        if bad:
+            ids = None
+        elif huge:
+            ids = np.array([int(tok) for tok in joined.split(";")], dtype=object)
+        else:
+            ids = np.fromstring(joined, dtype=np.int64, sep=";")
+        yield start, ids, lengths, bad
 
 
-def _indices(values: np.ndarray, lengths: np.ndarray, ids: list[int], owners: list[int],
-             owner: str, item: str) -> tuple[np.ndarray, np.ndarray]:
-    """``_pad`` of the lists of external ids in ``values`` (laid end to
-    end, ``lengths`` long) mapped onto their positions in the sorted
-    ``ids``.  The first id not in ``ids`` raises, naming its owner."""
+def _read_lists(rows: list[tuple[int, str]], ids: list[int], owners: list[int],
+                owner: str, item: str, bad: list) -> tuple[np.ndarray, np.ndarray, str | None]:
+    """(read-only array padded with -1, read-only int64 lengths, the
+    first unknown id's message or None) of the (line number, text) list
+    ``rows`` of ``owners``, each id mapped onto its position in the
+    sorted, non-empty ``ids``, in the ``_list_type`` of the positions.
+    Each ``_list_blocks`` block is mapped through one lookup of ``ids``
+    straight into the array, which is widened when a block holds a
+    longer list than any before it.  Bad tokens are added to ``bad``;
+    once there is one, blocks are only screened."""
+    padded = np.full((len(rows), 0), -1, dtype=_int_type(len(ids) - 1))
+    lengths = np.zeros(len(rows), dtype=np.int64)
     lo, hi = ids[0], ids[-1]
-    keys = np.array(ids, dtype=values.dtype if -2**63 <= lo and hi < 2**63 else object)
-    values = values.astype(keys.dtype, copy=False)
-    if keys.dtype == np.int64 and hi - lo < 2 * (keys.size + values.size):
-        table = np.full(hi - lo + 1, -1, dtype=np.int64)
+    keys = np.array(ids, dtype=np.int64 if -2**63 <= lo and hi < 2**63 else object)
+    if dense := keys.dtype == np.int64 and hi - lo < 8 * keys.size:  # one table lookup
+        table = np.full(hi - lo + 1, -1, dtype=np.intp)
         table[keys - lo] = np.arange(keys.size)
-        found = table[np.clip(values, lo, hi) - lo]
-    else:
-        found = np.minimum(np.searchsorted(keys, values), keys.size - 1)
-    known = keys[found] == values
-    if not known.all():
-        first = int(np.argmin(known))
-        row = int(np.searchsorted(np.cumsum(lengths), first, side="right"))
-        raise MarketFormatError(f"{owner} {owners[row]}: unknown {item} id {values[first]}")
-    return _pad(found, lengths)
+    unknown = None
+    for start, values, counts, block_bad in _list_blocks(rows):
+        bad += block_bad
+        if bad:
+            continue
+        k = keys if values.dtype == keys.dtype else keys.astype(object)  # ids past int64
+        values = values.astype(k.dtype, copy=False)
+        if dense and k is keys:
+            found = table[np.clip(values, lo, hi) - lo]
+        else:
+            found = np.minimum(np.searchsorted(k, values), k.size - 1)
+        found[k[found] != values] = -1
+        lengths[start : start + counts.size] = counts
+        if counts.max(initial=0) > padded.shape[1]:
+            wider = np.full((len(rows), counts.max()), -1, dtype=padded.dtype)
+            wider[:, : padded.shape[1]] = padded
+            padded = wider
+        width = padded.shape[1]
+        heads = np.cumsum(counts) - counts  # each row's first token in the block
+        if unknown is None and found.size and found.min() < 0:
+            first = int(np.argmin(found))
+            row = start + int(np.searchsorted(heads, first, side="right")) - 1
+            unknown = f"{owner} {owners[row]}: unknown {item} id {values[first]}"
+        # token j of row r goes to flat cell r * width + j
+        offsets = np.arange(start, start + counts.size) * width - heads
+        padded.reshape(-1)[np.arange(found.size) + np.repeat(offsets, counts)] = found
+    padded = padded.astype(_list_type(padded), copy=False)
+    padded.setflags(write=False)
+    lengths.setflags(write=False)
+    return padded, lengths, unknown
 
 
 def save_market(market: Market, path: str | Path) -> None:
-    """Write ``market`` in the canonical file format (ids ascending).
-    A market that ``validate_market`` flags raises ValueError unwritten."""
+    """Write ``market`` in the canonical file format (ids ascending),
+    from the stored arrays ``_BLOCK_CELLS`` list cells at a time, without
+    building the tuple views.  A market that ``validate_market`` flags
+    raises ValueError unwritten."""
     if problems := validate_market(market):
         raise ValueError("cannot save an invalid market: " + "; ".join(problems))
-    out = ["[schools]", *(f"{sid},{cap}" for sid, cap in zip(market.school_ids, market.capacities))]
-    for header, owners, lists, ids in (
-        ("[students]", market.student_ids, market.prefs, market.school_ids),
-        ("[priorities]", market.school_ids, market.priorities, market.student_ids),
-    ):
-        out.append(header)
-        out += [f"{who}," + ";".join(str(ids[x]) for x in row) for who, row in zip(owners, lists)]
-    Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as out:
+        out.write("[schools]\n")
+        out.writelines(f"{sid},{cap}\n" for sid, cap in zip(market.school_ids, market.capacities))
+        for header, owners, lists, lengths, ids in (
+            ("[students]", market.student_ids, market.pref_array, market.list_lengths,
+             market.school_ids),
+            ("[priorities]", market.school_ids, market.priority_array, market.priority_lengths,
+             market.student_ids),
+        ):
+            names, step = list(map(str, ids)), max(1, _BLOCK_CELLS // max(1, lists.shape[1]))
+            out.write(header + "\n")
+            for i in range(0, len(owners), step):
+                rows = zip(owners[i : i + step], lists[i : i + step].tolist(),
+                           lengths[i : i + step].tolist())
+                out.write("".join([f"{who}," + ";".join(map(names.__getitem__, row[:k])) + "\n"
+                                   for who, row, k in rows]))

@@ -3,7 +3,8 @@
 Everything here works by enumeration straight from the definitions, or
 by the plain tuple loops the array code replaced, and never calls the
 code paths it is used to check.  ``random_market_lists`` draws the
-inputs for the comparisons.
+inputs for the comparisons, ``write_city_market`` writes a large market
+file, and ``peak_of`` measures a call's traced memory.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -217,6 +219,44 @@ def random_market_lists(rng, max_students: int = 12, max_schools: int = 8):
         ]
 
     return rng.integers(1, 4, size=m).tolist(), lists(n, m), lists(m, n)
+
+
+def write_city_market(path, n_students: int, n_schools: int, seats: int, list_length: int,
+                      seed: int) -> None:
+    """Write a seeded market file line by line: each student ranks
+    ``list_length`` of ``n_schools`` schools of ``seats`` seats, and
+    every school ranks every student.  Student ids are 10 + 3t and
+    school ids 1000 + 7s, so loading maps ids onto indices."""
+    rng = np.random.default_rng(seed)
+    with open(path, "w", encoding="utf-8") as out:
+        out.write("[schools]\n")
+        out.writelines(f"{1000 + 7 * s},{seats}\n" for s in range(n_schools))
+        out.write("[students]\n")
+        for t in range(n_students):
+            row = rng.choice(n_schools, size=list_length, replace=False) * 7 + 1000
+            out.write(f"{10 + 3 * t}," + ";".join(map(str, row.tolist())) + "\n")
+        out.write("[priorities]\n")
+        for s in range(n_schools):
+            row = rng.permutation(n_students) * 3 + 10
+            out.write(f"{1000 + 7 * s}," + ";".join(map(str, row.tolist())) + "\n")
+
+
+def peak_of(run, *args) -> int:
+    """tracemalloc's peak over one call of ``run(*args)``, above what was
+    traced before it, after a warm-up call (imports and lazy set-up)."""
+    run(*args)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        run(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return peak - before
 
 
 def position_table_by_definition(lists, width: int) -> np.ndarray:

@@ -11,6 +11,7 @@ from schoolmatch.market import (
     Market,
     MarketFormatError,
     UndersuppliedMarketError,
+    _BLOCK_CHARS,
     _int_type,
     _list_type,
     balance_capacities,
@@ -25,11 +26,13 @@ from schoolmatch.simulate import generate_uniform_market
 
 from oracles import (
     load_market_by_loops,
+    peak_of,
     position_table_by_definition,
     random_market_lists,
     ranks_by_definition,
     validate_allocation_by_loops,
     validate_market_by_loops,
+    write_city_market,
 )
 
 
@@ -342,6 +345,102 @@ class TestMarketFiles:
                 outcomes.add("loaded")
         assert {"loaded", "line", "student", "school", "invalid"} <= outcomes
 
+    def test_load_matches_loop_loader_across_blocks(self, tmp_path):
+        # files of several parse blocks, rows out of id order, with a few
+        # defects each in rows late in the file, which sort before rows
+        # of earlier blocks: the same market, or the same message, as the
+        # token-by-token loop
+        rng = np.random.default_rng(47)
+        tids, sids = list(range(10, 3010, 3)), list(range(1000, 1140, 7))
+        huge = 10**20 + 1
+        kinds = ["bad", "unknown", "huge", "empty", "duplicate", "break", "orphan",
+                 "huge student", "junk", "no students", "no schools"]
+
+        def write(path, students, schools, junk=None, school_rows=True):
+            lines = ["[schools]", *(f"{s},100" for s in sids if school_rows),
+                     "[students]", *(f"{r[0]}," + ";".join(r[1:]) for r in students),
+                     "[priorities]", *(f"{r[0]}," + ";".join(r[1:]) for r in schools)]
+            if junk is not None:
+                lines.insert(junk, "junk")
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            return lines
+
+        def outcome(path):
+            try:
+                expected = load_market_by_loops(path)
+            except MarketFormatError as exc:
+                with pytest.raises(MarketFormatError) as excinfo:
+                    load_market(path)
+                assert str(excinfo.value) == str(exc)
+                return str(exc)
+            assert load_market(path) == expected
+            return "loaded"
+
+        def draw():
+            students = [[str(t), *map(str, rng.choice(sids, 12, replace=False).tolist())]
+                        for t in tids]
+            schools = [[str(s), *map(str, rng.permutation(tids).tolist())] for s in sids]
+            rng.shuffle(students)
+            rng.shuffle(schools)
+            return students, schools
+
+        outcomes = set()
+        for i in range(30):
+            students, schools = draw()
+            junk, school_rows = None, True
+            for kind in rng.choice(kinds, size=int(rng.integers(0, 4))).tolist():
+                rows = students if rng.random() < 0.5 else schools
+                row = rows[int(rng.integers(len(rows) // 2, len(rows)))] if rows else ["0"]
+                j = int(rng.integers(1, len(row))) if len(row) > 1 else None
+                if kind == "bad" and j:
+                    row[j] = str(rng.choice(["x", "- 1", "1.0"]))
+                elif kind == "unknown" and j:
+                    row[j] = "7"
+                elif kind == "huge" and j:
+                    row[j] = "-99999999999999999999"
+                elif kind == "empty":
+                    del row[1:]
+                elif kind == "duplicate" and j:
+                    row.append(row[j])
+                elif kind == "break" and j:
+                    row[j] += str(rng.choice(["\f", "\v", "\x1c", "\x85", "\u2028"])) + row[j]
+                elif kind == "orphan":
+                    schools.insert(int(rng.integers(0, len(schools) + 1)), ["5", str(tids[0])])
+                elif kind == "huge student":
+                    students.append([str(huge), str(sids[0])])
+                    for row in schools[-3:]:
+                        row.append(str(huge))
+                elif kind == "junk":
+                    junk = int(rng.integers(1, 2 * len(tids)))
+                elif kind == "no students":
+                    students.clear()
+                elif kind == "no schools":
+                    school_rows = False
+            write(tmp_path / f"m{i}.txt", students, schools, junk, school_rows)
+            if students:
+                assert (tmp_path / f"m{i}.txt").stat().st_size > 3 * _BLOCK_CHARS
+            outcomes.add(outcome(tmp_path / f"m{i}.txt").split(" ", 1)[0])
+        assert outcomes == {"loaded", "line", "student", "school", "invalid", "priorities", "no"}
+
+        # the bad token on the lowest line wins, though its row sorts last;
+        # then the unknown id of the student that sorts first, though its
+        # row comes last in the file; a form feed splits a row in two
+        students, schools = draw()
+        students.sort(key=lambda r: -int(r[0]))
+        students[0][3], students[-1][3] = "x", "y"
+        lines = write(tmp_path / "bad.txt", students, schools)
+        assert outcome(tmp_path / "bad.txt") == (
+            f"line {lines.index('[students]') + 2}: invalid literal for int() with base 10: 'x'")
+        students[0][3], students[-1][3], students[1][5] = "7", "8", "9"
+        write(tmp_path / "unknown.txt", students, schools)
+        assert outcome(tmp_path / "unknown.txt") == f"student {tids[0]}: unknown school id 8"
+        students[0][3], students[-1][3], students[1][5] = map(str, sids[:3])
+        students[-1][2] += "\f" + students[-1][2]
+        lines = write(tmp_path / "form_feed.txt", students, schools)
+        assert outcome(tmp_path / "form_feed.txt") == (
+            f"line {len(lines) - len(schools)}: expected 'id,...', got "
+            f"{';'.join([students[-1][2].split(chr(12))[1], *students[-1][3:]])!r}")
+
     def test_ids_beyond_int64_load(self, tmp_path):
         big = 99999999999999999999
         path = tmp_path / "m.txt"
@@ -353,6 +452,22 @@ class TestMarketFiles:
         assert (tmp_path / "again.txt").read_text() == (f"[schools]\n0,1\n{big},1\n[students]\n"
                                                         f"-{big},{big};0\n[priorities]\n0,\n"
                                                         f"{big},-{big}\n")
+
+    def test_load_peak_is_a_small_multiple_of_the_file(self, tmp_path):
+        # the loader drops each whole-file copy once it is read and parses
+        # the lists in blocks: its traced peak stays under 4 times the
+        # file's size (a whole-file parse peaked at about 10 times)
+        path = tmp_path / "city.txt"
+        write_city_market(path, 3000, 30, 100, 12, 5)
+        assert peak_of(load_market, path) < 4 * path.stat().st_size
+
+    def test_save_leaves_the_market_as_it_found_it(self, tmp_path):
+        # save_market writes from the stored arrays: no tuple view is
+        # built and cached on the market
+        m = generate_uniform_market(50, 3)
+        save_market(m, tmp_path / "m.txt")
+        assert "prefs" not in vars(m) and "priorities" not in vars(m)
+        assert load_market(tmp_path / "m.txt") == m
 
     def test_undecodable_byte_names_its_line(self, tmp_path):
         path = tmp_path / "m.txt"

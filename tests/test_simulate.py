@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +20,7 @@ from schoolmatch.simulate import (
     run_experiment,
 )
 
-from oracles import manipulated_prefs_by_tuples, random_market_lists
+from oracles import manipulated_prefs_by_tuples, peak_of, random_market_lists
 from test_solver_vs_scipy import partial_market
 
 
@@ -334,23 +333,6 @@ class TestRunExperiment:
         seeds = ", ".join(f"{name} {derive_seed(master, 2, tag)}" for name, tag in tags.items())
         assert str(info.value) == f"replication 2: boom (seeds: {seeds})"
 
-    @staticmethod
-    def peak_of(run, *args) -> int:
-        """tracemalloc's peak over one call of ``run(*args)``, after a warm-up."""
-        run(*args)  # warm-up: imports and lazy set-up
-        tracing = tracemalloc.is_tracing()
-        if not tracing:
-            tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            before, _ = tracemalloc.get_traced_memory()
-            run(*args)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            if not tracing:
-                tracemalloc.stop()
-        return peak - before
-
     def test_replication_holds_one_market(self):
         # each replication frees its market before the next one is drawn,
         # and stores its (2n, n) draw without a copy: the peak is that
@@ -359,7 +341,7 @@ class TestRunExperiment:
         n = 400
         config = ExperimentConfig(n=n, replications=3, master_seed=1,
                                   mechanisms=("DA", "TTC", "RSD"))
-        assert self.peak_of(run_experiment, config) < 1.5 * n * n * 8
+        assert peak_of(run_experiment, config) < 1.5 * n * n * 8
 
     def test_rm_holds_one_cost_matrix(self):
         # RM builds its shuffled (n, n) float cost matrix 64 rows at a
@@ -369,17 +351,27 @@ class TestRunExperiment:
         n = 400
         config = ExperimentConfig(n=n, replications=3, master_seed=1,
                                   mechanisms=("RM", "TTC", "DA"))
-        assert self.peak_of(run_experiment, config) < 2.5 * n * n * 8
+        assert peak_of(run_experiment, config) < 2.5 * n * n * 8
 
     def test_rm_holds_one_column_per_seat_class(self):
         # on a partial-list market of 4-seat schools RM's table holds one
         # column per school and one for "stay unassigned": n * (m + 1)
         # cells, where a matrix over seats holds n * (4m + n), 8 times as
-        # many here.  The solve peaks at about 2.5 times the table; its
-        # widest layer is about as large as the table
+        # many here.  The solve peaks at about 2.2 times the table: the
+        # table, and a layer's block of 64 rows over at most m + 1 + n
+        # live slots, about 0.8 times the table
         n, m = 400, 100
         market = partial_market(n, m, 4, 8, 77)
-        assert self.peak_of(rank_minimizing, market, 1) < 4 * n * (m + 1) * 8
+        assert peak_of(rank_minimizing, market, 1) < 2.5 * n * (m + 1) * 8
+
+    def test_rm_reduces_wide_layers_64_rows_at_a_time(self):
+        # 1000 students at 10 schools of 100 seats: RM's searches scan
+        # layers of up to 300 rows over about n live slots, and reduce
+        # them 64 rows at a time, so the peak is about one 64-row block
+        # of floats, not the widest layer (about 4 times as large)
+        n, m = 1000, 10
+        market = partial_market(n, m, 100, 8, 5)
+        assert peak_of(rank_minimizing, market, 1) < 2 * 64 * (n + m + 1) * 8
 
 
 class TestPartialListPipeline:
