@@ -8,7 +8,8 @@ Subcommands:
 
 Exit codes: 0 success; 2 usage or validation error (a bad flag or
 --config value, an unknown config key, an invalid market file); 1 a
-replication that failed at run time.
+replication that failed at run time, or any other error, reported as
+one "error: <Type>: <message>" line instead of a traceback.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import sys
 from pathlib import Path
 
 from schoolmatch.market import UNASSIGNED, effective_ranks, load_market
-from schoolmatch.mechanisms import MECHANISMS, run_mechanism
+from schoolmatch.mechanisms import MECHANISMS, _memoized_rm, run_mechanism
 from schoolmatch.simulate import (
     MANIPULATION_KINDS,
     ExperimentConfig,
@@ -95,7 +96,9 @@ def _cmd_manipulate(args: argparse.Namespace) -> int:
         raise ValueError("no shares to run: --shares is empty")
     # every share is checked before the first experiment runs
     manipulations = [Manipulation(args.kind, share) for share in args.shares]
-    blocks = [_run(args, manipulation=manipulation) for manipulation in manipulations]
+    # every share redraws the same markets and reruns the same truthful RM
+    with _memoized_rm():
+        blocks = [_run(args, manipulation=manipulation) for manipulation in manipulations]
     _emit(blocks[0] + "".join(block.split("\n", 1)[1] for block in blocks[1:]), args.out)
     return 0
 
@@ -220,6 +223,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError, ExperimentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, ExperimentError) else 2
+    except Exception as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 def entry() -> None:

@@ -148,6 +148,17 @@ def _pad(flat: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return padded, lengths
 
 
+def _same_lists(a: np.ndarray, a_lengths: np.ndarray, b: np.ndarray,
+                b_lengths: np.ndarray) -> bool:
+    """Whether two padded list arrays hold the same lists, whatever their
+    types or padded widths: equal lengths, and equal entries within them."""
+    if not np.array_equal(a_lengths, b_lengths):
+        return False
+    width = int(a_lengths.max(initial=0))
+    within = np.arange(width) < a_lengths[:, None]
+    return bool((a[:, :width] == b[:, :width]).all(where=within))
+
+
 def _screen(lists: np.ndarray, lengths: np.ndarray, width: int,
             owner: str, item: str, list_name: str) -> tuple[np.ndarray, list[str]]:
     """(rows, width) table of each id's 1-based position in the row's
@@ -246,10 +257,18 @@ class Market:
         return self.capacities, self.prefs, self.priorities, self.student_ids, self.school_ids
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Market) and self._value() == other._value()
+        """Whether the tuple views are equal, read off the arrays."""
+        return (isinstance(other, Market) and self.capacities == other.capacities
+                and self.student_ids == other.student_ids
+                and self.school_ids == other.school_ids
+                and _same_lists(self.pref_array, self.list_lengths,
+                                other.pref_array, other.list_lengths)
+                and _same_lists(self.priority_array, self.priority_lengths,
+                                other.priority_array, other.priority_lengths))
 
     def __hash__(self) -> int:
-        return hash(self._value())
+        return hash((self.capacities, self.student_ids, self.school_ids,
+                     self.list_lengths.tobytes(), self.priority_lengths.tobytes()))
 
     def __reduce__(self):
         return Market, self._value()  # copies and unpickled markets are read-only too

@@ -3,12 +3,17 @@
 Deferred acceptance and top trading cycles are deterministic functions
 of the market; serial dictatorship and the rank-minimizing mechanism
 consume a 64-bit seed (numpy PCG64) and are bit-reproducible for a
-given (market, seed) pair.  All functions are pure.
+given (market, seed) pair.  All functions are pure: while
+``_memoized_rm`` is active, as it is for one ``manipulate`` command,
+``rank_minimizing`` hands back its earlier answer to a repeated
+(market, seed) instead of solving it again.
 """
 
 from __future__ import annotations
 
 import heapq
+from contextlib import contextmanager
+from contextvars import ContextVar
 
 import numpy as np
 
@@ -198,6 +203,22 @@ def _shuffled_rank_costs(market: Market, seed: int
     return table, column_of[seats + 1], seats, row_perm
 
 
+#: (seed, digest of what RM reads) -> its allocation, inside ``_memoized_rm``.
+_RM_MEMO: ContextVar[dict[tuple[int, bytes], Allocation] | None] = ContextVar(
+    "schoolmatch_rm_memo", default=None)
+
+
+@contextmanager
+def _memoized_rm():
+    """Within the block, ``rank_minimizing`` solves each (market, seed)
+    once; the memo goes when the block ends, however it ends."""
+    token = _RM_MEMO.set({})
+    try:
+        yield
+    finally:
+        _RM_MEMO.reset(token)
+
+
 def rank_minimizing(market: Market, seed: int) -> Allocation:
     """An allocation minimizing the sum of effective ranks.
 
@@ -212,12 +233,30 @@ def rank_minimizing(market: Market, seed: int) -> Allocation:
     seats, and the "stay unassigned" seats, share a column of costs.
     That table is built 64 rows at a time from the integer
     ``rank_table`` through a small buffer; no other copy is alive.
+    Inside ``_memoized_rm``, a repeated (market, seed) gets the
+    allocation its first call solved.
     """
+    memo = _RM_MEMO.get()
+    if memo is not None:
+        import hashlib  # only a memoized run pays for the import
+
+        # every stored field RM reads: the lists' shape, type and bytes,
+        # their lengths and the capacities
+        prefs = market.pref_array
+        digest = hashlib.sha256(repr((prefs.shape, prefs.dtype.str, market.capacities)).encode())
+        digest.update(np.ascontiguousarray(prefs))
+        digest.update(np.ascontiguousarray(market.list_lengths, dtype=np.int64))
+        key = seed, digest.digest()
+        if key in memo:
+            return memo[key]
     table, columns, seats, row_perm = _shuffled_rank_costs(market, seed)
     result = min_cost_assignment(table, columns)
     assignment = np.empty(market.n_students, dtype=np.int64)
     assignment[row_perm] = seats[list(result.col_of_row)]
-    return Allocation(assignment)
+    allocation = Allocation(assignment)
+    if memo is not None:
+        memo[key] = allocation
+    return allocation
 
 
 #: Mechanism name -> callable(market, seed).  DA and TTC ignore the seed.

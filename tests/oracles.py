@@ -4,7 +4,8 @@ Everything here works by enumeration straight from the definitions, or
 by the plain tuple loops the array code replaced, and never calls the
 code paths it is used to check.  ``random_market_lists`` draws the
 inputs for the comparisons, ``write_city_market`` writes a large market
-file, and ``peak_of`` measures a call's traced memory.
+file, ``peak_of`` measures a call's traced memory, and ``counted_solves``
+counts RM's solver calls.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from schoolmatch import mechanisms
 from schoolmatch.assignment import AssignmentResult, InfeasibleAssignmentError
 from schoolmatch.market import (
     UNASSIGNED, Allocation, Market, MarketFormatError, validate_allocation, validate_market,
@@ -581,3 +583,16 @@ def reference_rank_minimizing(market: Market, seed: int) -> Allocation:
     assignment = np.empty(market.n_students, dtype=np.int64)
     assignment[row_perm] = schools[list(result.col_of_row)]
     return Allocation(tuple(assignment.tolist()))
+
+
+def counted_solves(monkeypatch) -> list[int]:
+    """A list that grows by one per ``min_cost_assignment`` call RM makes."""
+    solves = []
+    solve = mechanisms.min_cost_assignment
+
+    def counted(*args):
+        solves.append(1)
+        return solve(*args)
+
+    monkeypatch.setattr(mechanisms, "min_cost_assignment", counted)
+    return solves

@@ -3,9 +3,13 @@ from pathlib import Path
 
 import pytest
 
+from schoolmatch import cli
 from schoolmatch.cli import _build_parser, main
 from schoolmatch.market import save_market
-from schoolmatch.simulate import CSV_HEADER, generate_uniform_market
+from schoolmatch.mechanisms import _RM_MEMO
+from schoolmatch.simulate import CSV_HEADER, ExperimentError, generate_uniform_market
+
+from oracles import counted_solves
 
 
 def run_cli(capsys, *argv):
@@ -199,6 +203,47 @@ def test_manipulate_blocks_per_share(capsys):
     assert lines[0] == CSV_HEADER
     labels = [line.split(",")[0] for line in lines[1:]]
     assert labels == ["RM", "RM[drop_first=0]", "RM", "RM[drop_first=0.4]"]
+
+
+def test_manipulate_solves_each_truthful_rm_once(capsys, monkeypatch):
+    solves = counted_solves(monkeypatch)
+    code, _, _ = run_cli(capsys, "manipulate", "--n", "12", "--reps", "4",
+                         "--shares", "0,0.4", "--mechanisms", "RM")
+    assert code == 0
+    # 4 truthful and 4 at share 0.4; solving per share and call made 16
+    assert len(solves) == 8
+    assert _RM_MEMO.get() is None
+
+
+@pytest.mark.parametrize("error, code", [
+    pytest.param(ExperimentError("replication 0: failed"), 1, id="replication"),
+    pytest.param(ValueError("refused"), 2, id="validation"),
+])
+def test_manipulate_drops_its_memo_on_error(capsys, monkeypatch, error, code):
+    memos = []
+    run_experiment = cli.run_experiment
+
+    def second_share_fails(config):
+        memos.append(dict(_RM_MEMO.get()))
+        if len(memos) == 2:
+            raise error
+        return run_experiment(config)
+
+    monkeypatch.setattr(cli, "run_experiment", second_share_fails)
+    assert run_cli(capsys, "manipulate", "--n", "8", "--reps", "2", "--shares", "0,0.5",
+                   "--mechanisms", "RM")[0] == code
+    assert len(memos[0]) == 0 and len(memos[1]) == 2  # share 0 solved each truthful RM
+    assert _RM_MEMO.get() is None
+
+
+def test_unexpected_error_exits_1_in_one_line(capsys, monkeypatch):
+    def broken(config):
+        raise RuntimeError("solver lost its way")
+
+    monkeypatch.setattr(cli, "run_experiment", broken)
+    code, out, err = run_cli(capsys, "simulate", "--n", "6", "--reps", "2")
+    assert (code, out) == (1, "")
+    assert err == "error: RuntimeError: solver lost its way\n"
 
 
 @pytest.mark.parametrize("config, argv, message", [

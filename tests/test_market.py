@@ -583,6 +583,43 @@ class TestArrayStorage:
             capacities=(1, 1), prefs=((1, 0),), priorities=((0,), (0,))
         )
 
+    def test_equality_matches_tuple_views(self):
+        # (market, its tuple views built from the lists, not from the market)
+        cases = []
+        for caps, prefs, prios in self.random_markets(35, count=40, max_students=4,
+                                                      max_schools=3):
+            views = [tuple(caps), tuple(map(tuple, prefs)), tuple(map(tuple, prios)),
+                     tuple(range(len(prefs))), tuple(range(len(caps)))]
+            m = Market(capacities=caps, prefs=prefs, priorities=prios)
+            cases.append((m, views))
+            # the same lists stored as int32, padded two columns wider
+            wider = {name: np.pad(getattr(m, name).astype(np.int32), ((0, 0), (0, 2)),
+                                  constant_values=-1) for name in ("pref_array", "priority_array")}
+            cases.append((m._replace(**wider), views))
+            # one list a school shorter, one more seat, other school ids
+            if prefs[0]:
+                short = [prefs[0][:-1], *prefs[1:]]
+                cases.append((Market(caps, short, prios),
+                              [views[0], tuple(map(tuple, short)), *views[2:]]))
+            cases.append((Market([caps[0] + 1, *caps[1:]], prefs, prios),
+                          [(caps[0] + 1, *caps[1:]), *views[1:]]))
+            school_ids = range(5, 5 + len(caps))
+            cases.append((Market(caps, prefs, prios, school_ids=school_ids),
+                          [*views[:4], tuple(school_ids)]))
+        empty = [(), (), (), (), ()]
+        cases += [(Market((), np.empty((0, 3), dtype=np.int64), ()), empty),
+                  (Market((), (), ()), empty)]
+        equal_pairs = 0
+        for a, a_views in cases:
+            for b, b_views in cases:
+                assert (a == b) == (a_views == b_views)
+                if a == b:
+                    equal_pairs += a is not b
+                    assert hash(a) == hash(b)
+        assert equal_pairs > 2 * 40 + 2  # each wider copy and the empty pair, both ways
+        for m, _ in cases:
+            assert "prefs" not in vars(m) and "priorities" not in vars(m)
+
     def test_tables_match_definition(self):
         for caps, prefs, prios in self.random_markets(33):
             m = Market(capacities=caps, prefs=prefs, priorities=prios)

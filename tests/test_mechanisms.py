@@ -6,6 +6,8 @@ import pytest
 from schoolmatch import market as market_module
 from schoolmatch.market import UNASSIGNED, Allocation, Market, load_market
 from schoolmatch.mechanisms import (
+    _RM_MEMO,
+    _memoized_rm,
     deferred_acceptance,
     random_serial_dictatorship,
     rank_minimizing,
@@ -19,6 +21,7 @@ from schoolmatch.simulate import _TAG_MARKET, derive_seed, generate_uniform_mark
 
 from oracles import (
     brute_force_assignment,
+    counted_solves,
     deferred_acceptance_by_proposals,
     dominates,
     pareto_optimal_by_enumeration,
@@ -249,6 +252,41 @@ class TestRankMinimizing:
         )
         for seed in range(10):
             assert rank_minimizing(m1, seed).assignment == rank_minimizing(m2, seed).assignment
+
+
+class TestRankMinimizingMemo:
+    def test_solves_every_call_outside_a_memo(self, monkeypatch):
+        solves = counted_solves(monkeypatch)
+        m = market_3x3()
+        assert rank_minimizing(m, 4) == rank_minimizing(m, 4)
+        assert len(solves) == 2
+        assert _RM_MEMO.get() is None
+
+    def test_memo_answers_a_repeat_only(self, monkeypatch):
+        m = generate_uniform_market(9, 5)
+        more_seats = Market((2, *m.capacities[1:]), m.pref_array, m.priority_array)
+        fresh = [rank_minimizing(m, 1), rank_minimizing(m, 2), rank_minimizing(more_seats, 1)]
+        solves = counted_solves(monkeypatch)
+        with _memoized_rm():
+            first = rank_minimizing(m, 1)
+            # a market drawn again is a new object with the same arrays
+            assert rank_minimizing(generate_uniform_market(9, 5), 1) is first
+            assert len(solves) == 1
+            assert [first, rank_minimizing(m, 2), rank_minimizing(more_seats, 1)] == fresh
+            assert len(solves) == 3
+        assert _RM_MEMO.get() is None
+
+    def test_memo_reads_list_lengths(self):
+        prios = ((0, 1), (0, 1))
+        short = Market(capacities=(1, 1), prefs=((0, 1), (0,)), priorities=prios)
+        flawed = Market(capacities=(1, 1), prefs=np.array([[0, 1], [0, -1]]), priorities=prios)
+        assert flawed.pref_array.dtype == short.pref_array.dtype
+        assert np.array_equal(flawed.pref_array, short.pref_array)
+        fresh = rank_minimizing(short, 0)
+        with _memoized_rm():
+            assert rank_minimizing(short, 0) == fresh
+            with pytest.raises(ValueError, match="student 1: unknown school id -1"):
+                rank_minimizing(flawed, 0)
 
 
 class TestCrossMechanismProperties:
