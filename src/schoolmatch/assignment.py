@@ -1,42 +1,38 @@
-"""Exact minimum-cost bipartite assignment.
+"""Exact minimum-cost bipartite assignment over classes of equal columns.
 
-The solver augments one row at a time along a shortest path in the
-reduced-cost graph, maintaining dual potentials so edge weights stay
-nonnegative (Jonker-Volgenant style successive shortest paths).  Worst
-case O(rows * cols^2).  Rank costs are small integers, so many columns
-tie at each distance.  The Dijkstra search from a row advances one tie
-layer at a time, scanning every column of the layer and relaxing their
-matched rows 64 at a time into a running minimum, so a layer's
-temporary is at most 64 rows of the live columns however wide the layer
-is.  Scanned columns are marked NaN in the distance array, so every
-comparison and ``np.fmin`` reduction skips them and ``np.minimum``
-keeps them marked.  The search stops at the first layer holding a free
-column and takes the lowest-index one; a row whose nearest columns
-include a free one is matched before any layer is scanned.
+Each column solved over copies a column of the cost table, its class:
+RM gives every seat of a school, and every "stay unassigned" seat, one
+class.  The solver augments one row at a time along a shortest path in
+the reduced-cost graph of the matrix of copies, keeping dual potentials
+so that edge weights stay nonnegative (successive shortest paths,
+Jonker-Volgenant style), yet it holds one distance, one potential and
+one layer entry per class, not per copy.
 
-No predecessor is recorded during the search.  Each layer keeps the
-distances it reached, and the augmenting path is traced back from them
-for its few columns alone: a column's predecessor layer is the last one
-that strictly shortened it, the first minimum of its distance from the
-row and its reach in each layer before the one that scanned it.  Within
-that layer the row with the least reduced cost to the column, the first
-among ties, is the predecessor.  The potentials are then updated from
-the stored layers.
+Invariant: the copies of a class share one potential, and its matched
+copies are its lowest-index ones.  Sketch, by induction over the rows:
+a free copy is never scanned, for it would be the sink, so its
+potential stays 0.  While a class has a free copy, its matched copies
+have potential 0 too and tie with it at every distance, so the search
+stops there before scanning them; the sink, the lowest-index free
+column at the least distance, is some class's lowest-index free copy,
+and a copy once matched stays matched.  Once a class is full, its
+copies share every distance, are scanned in one layer and move their
+potentials together.  So a search over classes makes exactly the
+augmentations of a search over copies: the sink is the class, among
+those at the least distance with a free copy, whose free copy has the
+lowest column, and scanning a class relaxes the rows of all its copies.
 
-Many columns may be copies of one another: RM gives every seat of a
-school, and every "stay unassigned" seat, the same column of costs.
-``columns`` names, for each column solved over, the column of ``cost``
-it copies, so the matrix of copies is never built.  The result is that
-of the matrix of copies, exactly.  The search never scans a free column,
-so a free column's potential stays 0, and all free copies of one column
-have equal distances throughout every search; the sink is the
-lowest-index free column at the least distance, so only a class's
-lowest-index free copy can become it.  The solver therefore holds every
-matched copy and one free copy per class, the lowest-index one, and
-adds the class's next copy when that one is matched.  Ties are broken
-by original column index: at the sink, and among a layer's rows in the
-path trace.  Each matched column keeps its row's cost, so a layer's
-duals are read without a 2-D gather.
+The Dijkstra search advances one tie layer at a time (rank costs are
+small integers, so many classes tie).  It scans every class of the
+layer, relaxing their rows 64 at a time into a running minimum, and
+marks them NaN, so every comparison and ``np.fmin`` skips them and
+``np.minimum`` keeps them marked: each search relaxes a matched row at
+most once, O(rows^2 * classes) in all.  No predecessor is recorded:
+each layer keeps the distances it reached.  A class's predecessor layer
+is the last one that strictly shortened it, and there the row of least
+reduced cost, the first by column among ties, is the predecessor.  Each
+matched copy keeps its row's cost, so a layer's duals need no 2-D
+gather.
 
 Costs are nonnegative reals; ``inf`` marks a forbidden pairing (an
 unranked school, when costs are preference ranks).  NaN and negative
@@ -107,12 +103,9 @@ def min_cost_assignment(cost, columns=None) -> AssignmentResult:
         raise ValueError(f"cost matrix must be 2-D and non-empty, got shape {(n_rows, n_cols)}")
     if n_rows > n_cols:
         raise ValueError(f"more rows than columns: {n_rows} > {n_cols}")
-    copies = [[] for _ in range(c.shape[1])]  # each class's copies, in column order
-    for position, k in enumerate(index.tolist()):
-        copies[k].append(position)
-    if not all(copies):
-        c = c[:, [bool(cp) for cp in copies]]
-        copies = [cp for cp in copies if cp]
+    count = np.bincount(index.astype(np.intp, copy=False), minlength=c.shape[1])
+    if not count.all():  # a class no copy names is neither checked nor solved over
+        c, count = c[:, count > 0], count[count > 0]
     row_min = c.min(axis=1)  # NaN in a row holding NaN, inf in a row of infs
     lowest = row_min.min()
     if np.isnan(lowest):
@@ -128,32 +121,27 @@ def min_cost_assignment(cost, columns=None) -> AssignmentResult:
     blocks = (c[i : i + 64] for i in range(0, n_rows, 64))
     integral = all((np.round(block) == block).all() for block in blocks)
 
-    # Slot k holds class k's first copy; a class's next copy takes the
-    # next unused slot when the one before it is matched.
-    n_classes = c.shape[1]
-    n_slots = min(n_cols, n_classes + n_rows)
-    later = [iter(cp) for cp in copies]  # each class's copies not yet in a slot
-    column = np.empty(n_slots, dtype=np.int64)  # the column each slot stands for
-    column[:n_classes] = [next(copy) for copy in later]
-    cls = np.empty(n_slots, dtype=np.intp)  # and its class
-    cls[:n_classes] = np.arange(n_classes)
-    n_live = n_classes
-    # while slots are in column order, the first slot is the first column
-    ordered = bool((column[1:n_classes] > column[: n_classes - 1]).all())
-    v = np.zeros(n_slots)  # column potentials; row duals are recomputed on the fly
-    held = np.zeros(n_slots)  # the matched row's cost, so duals need no 2-D gather
-    row_of_col = np.full(n_slots, -1, dtype=np.int64)
-    col_of_row = np.full(n_rows, -1, dtype=np.int64)
-    free = np.ones(n_slots, dtype=bool)
+    # Copies grouped by class, in column order within each: class k's
+    # copies are the positions start[k] up to stop[k], matched in turn.
+    n_classes = count.size
+    column = np.argsort(index, kind="stable")  # the column of each position
+    ordered = bool((column[1:] > column[:-1]).all())  # positions in column order
+    cls = np.repeat(np.arange(n_classes), count)  # the class of each position
+    stop = count.cumsum()
+    start = stop - count
+    free_col = column[start]  # the column of each class's free copy
+    next_free, stop = start.tolist(), stop.tolist()  # its free copy's position
+    copies = [np.arange(a, b) for a, b in zip(next_free, stop)]  # all its positions
+    v = np.zeros(n_classes)  # class potentials; row duals are recomputed on the fly
+    is_open = np.ones(n_classes, dtype=bool)  # the class has a free copy
+    held = np.zeros(n_cols)  # the matched row's cost, so duals need no 2-D gather
+    row_of = np.full(n_cols, -1, dtype=np.int64)  # each position's row
+    col_of_row = np.full(n_rows, -1, dtype=np.int64)  # each row's position
 
-    def live(costs):  # costs over classes as costs over the live slots
-        return costs.take(cls[:n_live], axis=-1) if n_live > n_classes else costs
-
-    live_v, live_free = v[:n_live], free[:n_live]
     for cur_row in range(n_rows):
-        # Dijkstra from cur_row over columns in the reduced-cost graph.
-        shortest = live(c[cur_row]) - live_v
-        layers = []  # (columns, distance, rows reached, their duals) per layer
+        # Dijkstra from cur_row over classes in the reduced-cost graph.
+        shortest = c[cur_row] - v
+        layers = []  # (classes, distance, rows reached, their duals) per layer
         reached = []  # the distances each layer reached, for tracing the path back
         while True:
             min_val = np.fmin.reduce(shortest)
@@ -162,30 +150,31 @@ def min_cost_assignment(cost, columns=None) -> AssignmentResult:
                     f"infeasible row {cur_row}: no augmenting path with finite cost"
                 )
             nearest = shortest == min_val
-            sink = nearest & live_free
-            j = int(sink.argmax())
-            if sink[j]:
-                if not ordered:  # the lowest-index free column, not the lowest slot
+            sink = nearest & is_open
+            k = int(sink.argmax())
+            if sink[k]:
+                if not ordered:  # the lowest-index free copy, not the lowest class
                     sinks = sink.nonzero()[0]
-                    j = int(sinks[column[sinks].argmin()])
+                    k = int(sinks[free_col[sinks].argmin()])
                 break
-            # Scan the whole tie layer: reduced costs are nonnegative, so
-            # the order of columns at one distance does not matter.  In
-            # place, but in the order (c[rows] - v - u) + min_val.
+            # Scan the whole tie layer, every (matched) copy of its classes:
+            # reduced costs are nonnegative, so the order does not matter.
+            # In place, but in the order (c[rows] - v - u) + min_val.
             cols = nearest.nonzero()[0]
-            if len(cols) == 1:  # scalar indexing: the same operations, fewer calls
-                cols = int(cols[0])
-                rows = int(row_of_col[cols])
-                u = held[cols] - v[cols]  # the dual of the row reached
-                reach = live(c[rows]) - live_v
+            pos = np.concatenate([copies[q] for q in cols.tolist()])  # all matched
+            if len(pos) == 1:  # scalar indexing: the same operations, fewer calls
+                pos, cols = int(pos[0]), int(cols[0])
+                rows = int(row_of[pos])
+                u = held[pos] - v[cols]  # the dual of the row reached
+                reach = c[rows] - v
                 reach -= u
             else:  # 64 rows at a time into a running minimum
-                rows = row_of_col[cols]
-                u = held[cols] - v[cols]  # duals of the rows reached
+                rows = row_of[pos]
+                u = held[pos] - v[cls[pos]]  # duals of the rows reached
                 reach = None
                 for i in range(0, rows.size, 64):
-                    block = live(c.take(rows[i : i + 64], axis=0))
-                    block -= live_v
+                    block = c.take(rows[i : i + 64], axis=0)
+                    block -= v
                     block -= u[i : i + 64, None]
                     least = block.min(axis=0)
                     del block  # so that two blocks are never alive at once
@@ -195,46 +184,45 @@ def min_cost_assignment(cost, columns=None) -> AssignmentResult:
             np.minimum(shortest, reach, out=shortest)  # NaN propagates
             layers.append((cols, min_val, rows, u))
             reached.append(reach)
-        free[j] = False
-        copy = next(later[cls[j]], None) if n_live < n_slots else None
-        if copy is not None:  # the class's next copy is now its free one
-            column[n_live], cls[n_live] = copy, cls[j]
-            ordered &= copy > column[n_live - 1]
-            n_live += 1
-            live_v, live_free = v[:n_live], free[:n_live]
-        # Flip the path.  A column's predecessor is cur_row, or a row of the
-        # last layer that strictly shortened it: the first minimum of its
-        # distance from cur_row and its reach in each layer before the one
-        # that scanned it (every layer, for the sink), which is the
-        # predecessor layer of the column before it on the path.  v is
-        # unchanged since the search, so these are the numbers it compared.
+        j = next_free[k]  # the class's next copy, if any, is now its free one
+        next_free[k] += 1
+        if next_free[k] < stop[k]:
+            free_col[k] = column[next_free[k]]
+        else:
+            is_open[k] = False
+        # Flip the path.  A position's predecessor is cur_row, or a row of
+        # the last layer that strictly shortened its class: the first
+        # minimum of its distance from cur_row and its reach in each layer
+        # before the one that scanned it (every layer, for the sink).  v is
+        # unchanged since the search, so these are the numbers it compared;
+        # layers are visited latest first, so their rows are not yet moved.
         scanned_by = len(layers)
         while True:
             k = cls[j]
-            layer, best = -1, c[cur_row, k] - v[j]
+            layer, best = -1, c[cur_row, k] - v[k]
             for scan in range(scanned_by):
-                reach = reached[scan][j]
+                reach = reached[scan][k]
                 if reach < best:
                     layer, best = scan, reach
             if layer < 0:
                 i = cur_row
             else:
-                cols, _, rows, u = layers[layer]
+                _, _, rows, u = layers[layer]
                 if isinstance(rows, int):  # a one-row layer
                     i = rows
                 else:  # the least reduced cost, first by column among ties
-                    d = c[rows, k] - v[j] - u
+                    d = c[rows, k] - v[k] - u
                     if ordered:
                         i = int(rows[d.argmin()])
                     else:
-                        ties = (d == d.min()).nonzero()[0]
-                        i = int(rows[ties[column[cols[ties]].argmin()]])
-            row_of_col[j], held[j] = i, c[i, k]
+                        ties = rows[d == d.min()]
+                        i = int(ties[column[col_of_row[ties]].argmin()])
+            row_of[j], held[j] = i, c[i, k]
             col_of_row[i], j = j, col_of_row[i]
             if i == cur_row:
                 break
             scanned_by = layer
-        # Then update the potentials of the scanned columns.
+        # Then update the potentials of the scanned classes.
         for scanned, dist, _, _ in layers:
             v[scanned] += dist - min_val
 

@@ -223,19 +223,35 @@ def random_market_lists(rng, max_students: int = 12, max_schools: int = 8):
     return rng.integers(1, 4, size=m).tolist(), lists(n, m), lists(m, n)
 
 
+def correlated_lists(rng, n_students: int, n_schools: int, list_length: int,
+                     beta: float) -> np.ndarray:
+    """Each student's ``list_length`` best schools, best first, under the
+    Che-Tercieux utility beta * q_s + (1 - beta) * e_ts, with a common
+    quality q and an idiosyncratic taste e, both uniform on (0, 1)."""
+    quality = rng.random(n_schools)
+    utility = beta * quality + (1 - beta) * rng.random((n_students, n_schools))
+    return np.argsort(-utility, axis=1)[:, :list_length]
+
+
 def write_city_market(path, n_students: int, n_schools: int, seats: int, list_length: int,
-                      seed: int) -> None:
+                      seed: int, beta: float | None = None) -> None:
     """Write a seeded market file line by line: each student ranks
     ``list_length`` of ``n_schools`` schools of ``seats`` seats, and
     every school ranks every student.  Student ids are 10 + 3t and
-    school ids 1000 + 7s, so loading maps ids onto indices."""
+    school ids 1000 + 7s, so loading maps ids onto indices.  Lists are
+    uniform draws, or ``correlated_lists`` with weight ``beta``."""
     rng = np.random.default_rng(seed)
+    lists = None if beta is None else correlated_lists(
+        rng, n_students, n_schools, list_length, beta)
     with open(path, "w", encoding="utf-8") as out:
         out.write("[schools]\n")
         out.writelines(f"{1000 + 7 * s},{seats}\n" for s in range(n_schools))
         out.write("[students]\n")
         for t in range(n_students):
-            row = rng.choice(n_schools, size=list_length, replace=False) * 7 + 1000
+            if lists is None:
+                row = rng.choice(n_schools, size=list_length, replace=False) * 7 + 1000
+            else:
+                row = lists[t] * 7 + 1000
             out.write(f"{10 + 3 * t}," + ";".join(map(str, row.tolist())) + "\n")
         out.write("[priorities]\n")
         for s in range(n_schools):

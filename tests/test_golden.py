@@ -48,6 +48,13 @@ CASES = {
         "simulate", "--market", "tests/data/short_supply_market.txt", "--reps", "25",
         "--seed", "13", "--mechanisms", "RM,TTC,DA,RSD",
     ],
+    # many_seat_market.txt: 400 students, 8 schools of 50 seats, 3-school
+    # lists with a common school quality (oracles.write_city_market(path,
+    # 400, 8, 50, 3, 24, beta=0.5)): RM picks among many optima at scale
+    "simulate_many_seat_market.csv": [
+        "simulate", "--market", "tests/data/many_seat_market.txt", "--reps", "20",
+        "--seed", "17", "--mechanisms", "RM,TTC,DA,RSD",
+    ],
     # per-student output of the same file-loaded market
     "evaluate_small_market.csv": [
         "evaluate", "--market", "tests/data/small_market.txt", "--mechanisms", "DA,TTC,RSD,RM",

@@ -19,6 +19,7 @@ from schoolmatch.mechanisms import _shuffled_rank_costs, rank_minimizing
 from schoolmatch.simulate import generate_uniform_market
 
 from oracles import (
+    correlated_lists,
     random_market_lists,
     reference_min_cost_assignment,
     reference_rank_minimizing,
@@ -146,6 +147,13 @@ def test_columns_left_out_are_ignored():
     assert min_cost_assignment(table, [2, 0, 0, 2]) == AssignmentResult((1, 0), 2)
 
 
+@pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.uint64])
+def test_columns_of_any_integer_type(dtype):
+    table = np.array([[1.0, 4.0, 2.0], [3.0, 1.0, 1.0]])
+    expected = min_cost_assignment(table, [2, 0, 0, 2, 1])
+    assert min_cost_assignment(table, np.array([2, 0, 0, 2, 1], dtype=dtype)) == expected
+
+
 @pytest.mark.parametrize("columns", [[0, 3], [-1, 0], [0.0, 1.0], [[0, 1]], [True, False]],
                          ids=["past-the-end", "negative", "float", "2-D", "bool"])
 def test_columns_outside_the_table_refused(columns):
@@ -228,3 +236,53 @@ def test_rank_minimizing_many_seat_schools():
         market = Market(capacities=caps.tolist(), prefs=prefs, priorities=prios)
         seed = int(rng.integers(0, 2**32))
         assert rank_minimizing(market, seed) == reference_rank_minimizing(market, seed)
+
+
+def correlated_market(rng, n, capacities, list_length, beta):
+    """Che-Tercieux lists of ``list_length`` schools (see
+    ``oracles.correlated_lists``) and uniform random priorities."""
+    lists = correlated_lists(rng, n, len(capacities), list_length, beta)
+    priorities = [rng.permutation(n).tolist() for _ in capacities]
+    return Market(capacities=capacities, prefs=lists.tolist(), priorities=priorities)
+
+
+def many_seat_markets(seed, count):
+    # a few hundred students, 3-8 schools of 25-100 seats, 2-4 school
+    # lists, a common school quality of weight 0.3-0.9: popular schools
+    # fill, and RM's searches run through full classes of many seats
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        capacities = rng.integers(25, 101, size=int(rng.integers(3, 9))).tolist()
+        yield correlated_market(rng, int(rng.integers(200, 401)), capacities,
+                                int(rng.integers(2, 5)), float(rng.uniform(0.3, 0.9)))
+
+
+def test_many_seat_rank_tables():
+    # RM's class tables against the reference solver on the seat matrix
+    for market in many_seat_markets(80, 6):
+        for seed in (81, 82):
+            table, columns, _, _ = _shuffled_rank_costs(market, seed)
+            assert np.bincount(columns).min() >= 25
+            assert check_same_result(table, columns)
+
+
+@pytest.mark.parametrize("step", [0.25, 0.0], ids=["quarters", "continuous"])
+def test_many_seat_utility_tables(step):
+    # costs 1 - utility on each listed school and 1 for "stay unassigned",
+    # the copies of every class named in a shuffled order
+    rng = np.random.default_rng(83)
+    for _ in range(4):
+        n, m = int(rng.integers(200, 401)), int(rng.integers(3, 9))
+        utility = 0.6 * rng.random(m) + 0.4 * rng.random((n, m))
+        table = np.hstack([1 - utility, np.ones((n, 1))])
+        if step:
+            table = np.round(table / step) * step
+        table[:, :m][rng.random((n, m)) < 0.5] = np.inf
+        copies = np.repeat(np.arange(m + 1), [*rng.integers(25, 101, size=m), n])
+        assert check_same_result(table, rng.permutation(copies))
+
+
+def test_rank_minimizing_many_seat_correlated():
+    for market in many_seat_markets(84, 6):
+        for seed in (85, 86):
+            assert rank_minimizing(market, seed) == reference_rank_minimizing(market, seed)

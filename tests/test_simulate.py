@@ -5,7 +5,8 @@ import pytest
 
 from schoolmatch import simulate
 from schoolmatch.market import Allocation, Market, balance_capacities, save_market
-from schoolmatch.mechanisms import rank_minimizing
+from schoolmatch.assignment import min_cost_assignment
+from schoolmatch.mechanisms import _shuffled_rank_costs, rank_minimizing
 from schoolmatch.metrics import rank_stats
 from schoolmatch.simulate import (
     CSV_HEADER,
@@ -357,21 +358,31 @@ class TestRunExperiment:
         # on a partial-list market of 4-seat schools RM's table holds one
         # column per school and one for "stay unassigned": n * (m + 1)
         # cells, where a matrix over seats holds n * (4m + n), 8 times as
-        # many here.  The solve peaks at about 2.2 times the table: the
-        # table, and a layer's block of 64 rows over at most m + 1 + n
-        # live slots, about 0.8 times the table
+        # many here.  RM peaks at about 1.6 times the table: the table,
+        # and the solve's arrays over the 4m + n seats and 64-row blocks
+        # over the m + 1 classes
         n, m = 400, 100
         market = partial_market(n, m, 4, 8, 77)
         assert peak_of(rank_minimizing, market, 1) < 2.5 * n * (m + 1) * 8
 
     def test_rm_reduces_wide_layers_64_rows_at_a_time(self):
         # 1000 students at 10 schools of 100 seats: RM's searches scan
-        # layers of up to 300 rows over about n live slots, and reduce
-        # them 64 rows at a time, so the peak is about one 64-row block
-        # of floats, not the widest layer (about 4 times as large)
+        # layers of up to 300 rows and reduce them 64 rows at a time, so
+        # no layer is ever held whole
         n, m = 1000, 10
         market = partial_market(n, m, 100, 8, 5)
         assert peak_of(rank_minimizing, market, 1) < 2 * 64 * (n + m + 1) * 8
+
+    def test_rm_solve_is_as_wide_as_the_seat_classes(self):
+        # the same market: the solve holds a few arrays over the 2,000
+        # seats (16 KB each) and 64-row blocks over the 11 classes (6 KB),
+        # about 1.8 times the 88 KB table.  A solver with a slot per
+        # matched seat reduces 64-row blocks over up to n + m + 1 slots
+        # (518 KB) and peaks at about 8.6 times the table
+        n, m = 1000, 10
+        table, columns, _, _ = _shuffled_rank_costs(partial_market(n, m, 100, 8, 5), 1)
+        assert table.shape == (n, m + 1)
+        assert peak_of(min_cost_assignment, table, columns) < 3 * table.nbytes
 
 
 class TestPartialListPipeline:
