@@ -55,6 +55,14 @@ CASES = {
         "simulate", "--market", "tests/data/many_seat_market.txt", "--reps", "20",
         "--seed", "17", "--mechanisms", "RM,TTC,DA,RSD",
     ],
+    # surplus_market.txt: 60 seats at 6 schools (4 to 18 seats) for 40
+    # students, seeded partial lists of 0 to 6 schools with a common
+    # school quality, and one school whose priority list leaves 18
+    # students out: surplus seats stay empty, no seat is trimmed first
+    "simulate_surplus_market.csv": [
+        "simulate", "--market", "tests/data/surplus_market.txt", "--reps", "25",
+        "--seed", "19", "--mechanisms", "RM,TTC,DA,RSD",
+    ],
     # per-student output of the same file-loaded market
     "evaluate_small_market.csv": [
         "evaluate", "--market", "tests/data/small_market.txt", "--mechanisms", "DA,TTC,RSD,RM",
