@@ -11,8 +11,6 @@ from schoolmatch.market import (
     Allocation,
     Market,
     MarketFormatError,
-    UndersuppliedMarketError,
-    balance_capacities,
     effective_ranks,
     load_market,
     save_market,

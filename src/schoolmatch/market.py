@@ -45,11 +45,9 @@ __all__ = [
     "Market",
     "Allocation",
     "MarketFormatError",
-    "UndersuppliedMarketError",
     "effective_ranks",
     "validate_market",
     "validate_allocation",
-    "balance_capacities",
     "load_market",
     "save_market",
 ]
@@ -60,10 +58,6 @@ UNASSIGNED = -1
 
 class MarketFormatError(ValueError):
     """Market file cannot be parsed, or the parsed market is invalid."""
-
-
-class UndersuppliedMarketError(ValueError):
-    """Total school capacity cannot seat the student population."""
 
 
 def _exact(values: np.ndarray, dtype, owner: str, item: str, row_of) -> np.ndarray:
@@ -253,9 +247,6 @@ class Market:
         """A copy with ``changes`` in stored form; other fields are shared."""
         return Market._of(**{f.name: getattr(self, f.name) for f in fields(self)} | changes)
 
-    def _value(self) -> tuple:
-        return self.capacities, self.prefs, self.priorities, self.student_ids, self.school_ids
-
     def __eq__(self, other) -> bool:
         """Whether the tuple views are equal, read off the arrays."""
         return (isinstance(other, Market) and self.capacities == other.capacities
@@ -271,7 +262,8 @@ class Market:
                      self.list_lengths.tobytes(), self.priority_lengths.tobytes()))
 
     def __reduce__(self):
-        return Market, self._value()  # copies and unpickled markets are read-only too
+        return Market, (self.capacities, self.prefs, self.priorities, self.student_ids,
+                        self.school_ids)  # copies and unpickled markets are read-only too
 
     @property
     def n_students(self) -> int:
@@ -444,28 +436,6 @@ def validate_allocation(market: Market, allocation: Allocation) -> list[str]:
     return problems + [f"school {s}: {count} students assigned, capacity {cap}"
                        for s, (count, cap) in enumerate(zip(filled, market.capacities))
                        if count > cap]
-
-
-def balance_capacities(market: Market) -> Market:
-    """Shrink capacities until total seats equal the student count.
-
-    Surplus seats are removed one at a time from the school with the
-    largest remaining capacity (lowest index on ties), never reducing a
-    school below one seat unless total demand forces it.  Preferences
-    and priorities are untouched; the operation is idempotent.
-    """
-    surplus = market.total_seats - market.n_students
-    if surplus < 0:
-        raise UndersuppliedMarketError(
-            f"undersupplied market: {market.total_seats} seats for "
-            f"{market.n_students} students"
-        )
-    if surplus == 0:
-        return market
-    caps = list(market.capacities)
-    for _ in range(surplus):
-        caps[max(range(len(caps)), key=lambda s: (caps[s], -s))] -= 1
-    return market._replace(capacities=tuple(caps))
 
 
 # Market file format (UTF-8 text):

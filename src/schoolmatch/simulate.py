@@ -187,7 +187,8 @@ class ExperimentConfig:
     set, the same file-loaded market is used in every replication and
     only the mechanism randomness varies.  Thresholds of None stand for
     the default cutoffs 1, 2, ln n, n/10, n/4 and n/2, each once, where
-    n is the number of students in the market.  The report's config is
+    n is the number of students in the market; a NaN cutoff is refused,
+    while inf and -inf are kept (shares 0 and 1).  The report's config is
     the record of the run: its n is the file's student count when
     market_path is set, and its thresholds are the cutoffs used.
     """
@@ -204,6 +205,8 @@ class ExperimentConfig:
         object.__setattr__(self, "mechanisms", tuple(self.mechanisms))
         if self.thresholds is not None:
             object.__setattr__(self, "thresholds", tuple(float(m) for m in self.thresholds))
+            if any(math.isnan(m) for m in self.thresholds):
+                raise ValueError("a threshold must be a number, inf or -inf, got nan")
         if self.n < 1:
             raise ValueError("n must be at least 1")
         if self.replications < 1:

@@ -601,6 +601,37 @@ def reference_rank_minimizing(market: Market, seed: int) -> Allocation:
     return Allocation(tuple(assignment.tolist()))
 
 
+def improving_cycle_exists(market: Market, allocation: Allocation) -> bool:
+    """Whether a chain or cycle of moves lowers the allocation's
+    effective rank sum (Klein's negative-cycle test, 1967), read straight
+    off the lists; the allocation must be valid.  Nodes are the m
+    schools, "unassigned" (node m: cost k+1, room for everyone) and a
+    free-seat node F (node m + 1).  Edge a -> b weighs the least change
+    in cost from moving one student held by a to b; b -> F weighs 0 when
+    b has a free seat, and F -> a weighs 0.  The allocation has the
+    least rank sum exactly when no cycle is negative; Floyd-Warshall
+    over the m + 2 nodes finds one in O(m^3) after one pass over the
+    lists."""
+    m, k = market.n_schools, market.list_lengths
+    prefs = market.pref_array
+    listed = np.arange(prefs.shape[1]) < k[:, None]
+    held = allocation.assignment_array
+    rank = (listed & (prefs == held[:, None])) @ np.arange(1, prefs.shape[1] + 1)
+    now = np.where(rank > 0, rank, k + 1)  # k + 1 when unassigned
+    node = np.where(held == UNASSIGNED, m, held)
+    student, place = np.nonzero(listed)
+    weight = np.full((m + 2, m + 2), np.inf)
+    np.fill_diagonal(weight, 0.0)
+    np.minimum.at(weight, (node[student], prefs[student, place]), place + 1 - now[student])
+    np.minimum.at(weight, (node, m), k + 1 - now)
+    free = np.bincount(held[held != UNASSIGNED], minlength=m) < market.capacities
+    weight[: m + 1, m + 1] = np.where(np.append(free, True), 0.0, np.inf)
+    weight[m + 1, : m + 1] = 0.0
+    for c in range(m + 2):
+        weight = np.minimum(weight, weight[:, c, None] + weight[c])
+    return bool((np.diag(weight) < 0).any())
+
+
 def counted_solves(monkeypatch) -> list[int]:
     """A list that grows by one per ``min_cost_assignment`` call RM makes."""
     solves = []

@@ -288,6 +288,22 @@ def test_repeated_list_value_exits_2(tmp_path, capsys, argv, config, message):
     assert message in captured.err
 
 
+@pytest.mark.parametrize("argv, config", [
+    pytest.param(["--thresholds", "nan"], None, id="flag"),
+    pytest.param([], "thresholds=1,nan\n", id="config"),
+])
+def test_nan_threshold_exits_2_before_running(tmp_path, capsys, monkeypatch, argv, config):
+    calls = []
+    monkeypatch.setattr("schoolmatch.cli.run_experiment", calls.append)
+    if config:
+        (tmp_path / "exp.cfg").write_text(config)
+        argv = argv + ["--config", str(tmp_path / "exp.cfg")]
+    code, out, err = run_cli(capsys, "simulate", "--n", "5", "--reps", "2",
+                             "--mechanisms", "DA", *argv)
+    assert (code, out, calls) == (2, "", [])
+    assert err == "error: a threshold must be a number, inf or -inf, got nan\n"
+
+
 def test_oracle_rsd_envy(capsys):
     code, out, _ = run_cli(capsys, "oracle", "--check", "rsd_envy", "--n", "2000")
     assert code == 0

@@ -10,11 +10,9 @@ from schoolmatch.market import (
     Allocation,
     Market,
     MarketFormatError,
-    UndersuppliedMarketError,
     _BLOCK_CHARS,
     _int_type,
     _list_type,
-    balance_capacities,
     effective_ranks,
     load_market,
     save_market,
@@ -87,62 +85,6 @@ class TestValidateAllocation:
         assert any("never ranked" in p for p in problems)
 
 
-class TestBalanceCapacities:
-    def test_largest_first(self):
-        m = Market(
-            capacities=(3, 3),
-            prefs=((0, 1),) * 4,
-            priorities=((0, 1, 2, 3), (0, 1, 2, 3)),
-        )
-        assert balance_capacities(m).capacities == (2, 2)
-
-    def test_already_balanced(self):
-        m = market_2x2()
-        assert balance_capacities(m) is m
-
-    def test_undersupply(self):
-        m = Market(capacities=(1,), prefs=((0,), (0,)), priorities=((0, 1),))
-        with pytest.raises(UndersuppliedMarketError):
-            balance_capacities(m)
-
-    def test_forced_below_one(self):
-        # three unit schools, two students: one school must lose its seat
-        m = Market(capacities=(1, 1, 1), prefs=((0, 1, 2),) * 2, priorities=((0, 1),) * 3)
-        assert balance_capacities(m).capacities == (0, 1, 1)
-
-    def test_balanced_zero_seat_market_is_valid_and_saves(self, tmp_path):
-        m = Market(capacities=(1, 1), prefs=((0, 1),), priorities=((0,), (0,)))
-        balanced = balance_capacities(m)
-        assert balanced.capacities == (0, 1)
-        assert validate_market(balanced) == []
-        save_market(balanced, tmp_path / "m.txt")
-        assert (tmp_path / "m.txt").read_text().startswith("[schools]\n0,0\n1,1\n")
-        assert load_market(tmp_path / "m.txt") == balanced
-
-    def test_ties_broken_by_lowest_id(self):
-        m = Market(capacities=(2, 2, 1), prefs=((0, 1, 2),) * 4, priorities=((0, 1, 2, 3),) * 3)
-        assert balance_capacities(m).capacities == (1, 2, 1)
-
-    def test_idempotent_and_preference_preserving(self):
-        rng = np.random.default_rng(11)
-        for _ in range(30):
-            n = int(rng.integers(2, 10))
-            m_schools = int(rng.integers(1, 6))
-            caps = tuple(int(c) for c in rng.integers(1, 5, size=m_schools))
-            if sum(caps) < n:
-                caps = caps[:-1] + (caps[-1] + n - sum(caps),)
-            prefs = tuple(
-                tuple(int(s) for s in rng.permutation(m_schools)) for _ in range(n)
-            )
-            prios = tuple(tuple(int(t) for t in rng.permutation(n)) for _ in range(m_schools))
-            m = Market(capacities=caps, prefs=prefs, priorities=prios)
-            b = balance_capacities(m)
-            assert b.total_seats == n
-            assert b.prefs == m.prefs
-            assert b.priorities == m.priorities
-            assert balance_capacities(b) is b
-
-
 SAMPLE = """\
 [schools]
 0,1
@@ -157,6 +99,13 @@ SAMPLE = """\
 
 
 class TestMarketFiles:
+    def test_zero_seat_market_is_valid_and_saves(self, tmp_path):
+        m = Market(capacities=(0, 1), prefs=((0, 1),), priorities=((0,), (0,)))
+        assert validate_market(m) == []
+        save_market(m, tmp_path / "m.txt")
+        assert (tmp_path / "m.txt").read_text().startswith("[schools]\n0,0\n1,1\n")
+        assert load_market(tmp_path / "m.txt") == m
+
     def test_sample_round_trip(self, tmp_path):
         path = tmp_path / "m.txt"
         path.write_text(SAMPLE)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from schoolmatch import simulate
-from schoolmatch.market import Allocation, Market, balance_capacities, save_market
+from schoolmatch.market import Allocation, Market, save_market, validate_allocation
 from schoolmatch.assignment import min_cost_assignment
 from schoolmatch.mechanisms import _shuffled_rank_costs, rank_minimizing
 from schoolmatch.metrics import rank_stats
@@ -290,6 +290,14 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match=r"repeated mechanisms \['DA'\]"):
             ExperimentConfig(n=5, replications=1, master_seed=0, mechanisms=("DA", "RM", "DA"))
 
+    def test_nan_threshold_refused_infinite_kept(self):
+        # a NaN cutoff would write a row with threshold nan and share 0
+        with pytest.raises(ValueError, match="got nan"):
+            ExperimentConfig(n=5, replications=1, master_seed=0, thresholds=(1.0, math.nan))
+        config = ExperimentConfig(n=5, replications=2, master_seed=0, mechanisms=("DA",),
+                                  thresholds=(math.inf, -math.inf))
+        assert run_experiment(config).summaries["DA"].threshold_share == (0.0, 1.0)
+
     def test_replication_index_attached_to_errors(self, tmp_path):
         # a market whose DA run works but whose file disappears mid-way is
         # hard to fake; instead force a failure through an undersized brute
@@ -386,8 +394,9 @@ class TestRunExperiment:
 
 
 class TestPartialListPipeline:
-    """End-to-end accounting on a synthetic partial-list market: balancing,
-    the k+1 rank rule, and unassigned bookkeeping."""
+    """End-to-end accounting on a synthetic partial-list market with
+    surplus seats, run as it stands: the k+1 rank rule, unassigned
+    bookkeeping, and no school over capacity."""
 
     def build(self):
         # 6 students, 3 schools with surplus seats, short ragged lists
@@ -409,12 +418,13 @@ class TestPartialListPipeline:
         )
 
     def test_balanced_then_all_mechanisms_account_for_unassigned(self):
-        m = balance_capacities(self.build())
-        assert m.total_seats == 6
+        m = self.build()
+        assert m.total_seats == 8
         from schoolmatch.mechanisms import MECHANISMS
 
         for name, mech in MECHANISMS.items():
             alloc = mech(m, 17)
+            assert validate_allocation(m, alloc) == []
             stats = rank_stats(m, alloc)
             assert sum(stats.histogram.values()) == 6
             n_assigned = 6 - stats.unassigned_count

@@ -1,4 +1,6 @@
-"""The in-house RM solver against scipy's ``linear_sum_assignment``.
+"""The in-house RM solver against scipy's ``linear_sum_assignment``,
+and, on markets too large for scipy's per-seat matrix, against the
+improving-cycle certificate in ``oracles``.
 
 scipy is a test-only oracle here: the library never imports it.
 """
@@ -8,10 +10,17 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from schoolmatch.assignment import InfeasibleAssignmentError, min_cost_assignment
-from schoolmatch.market import Market
+from schoolmatch.market import Market, load_market
+from schoolmatch.mechanisms import MECHANISMS, run_mechanism
 from schoolmatch.simulate import generate_uniform_market
 
-from oracles import reference_rank_cost_matrix
+from oracles import (
+    improving_cycle_exists,
+    random_market_lists,
+    ranks_by_definition,
+    reference_rank_cost_matrix,
+    write_city_market,
+)
 
 
 def scipy_total(cost):
@@ -72,3 +81,34 @@ def test_tie_heavy_small_matrices_match_scipy():
         else:
             assert_matches_scipy(cost)
     assert infeasible > 0
+
+
+def test_improving_cycle_check_agrees_with_scipy():
+    # every mechanism on small markets, over- and undersupplied, with
+    # partial and empty lists: the allocation is improvable exactly when
+    # its rank sum is above scipy's optimum
+    rng = np.random.default_rng(65)
+    improvable = 0
+    for r in range(300):
+        market = Market(*random_market_lists(rng))
+        best = scipy_total(reference_rank_cost_matrix(market)[0])
+        for name in sorted(MECHANISMS):
+            allocation = run_mechanism(name, market, r)
+            above = sum(ranks_by_definition(market, allocation)) > best
+            assert improving_cycle_exists(market, allocation) == above, (r, name)
+            improvable += above
+    assert 300 < improvable < 900  # 482 of the 1,200 allocations
+
+
+@pytest.mark.parametrize("schools", [50, 60], ids=["5000x50", "surplus-5000x60"])
+def test_rm_certified_where_scipy_cannot_reach(tmp_path, schools):
+    # 5,000 students with 12-school lists at 100-seat schools: scipy would
+    # need a 5,000 x (seats + 5,000) float64 matrix of 400-440 MB; with 60
+    # schools, 1,000 seats stay free.  RM admits no improving cycle, while
+    # TTC and DA leave one
+    path = tmp_path / "city.txt"
+    write_city_market(path, 5000, schools, 100, 12, 1, beta=0.3)
+    market = load_market(path)
+    verdicts = {name: improving_cycle_exists(market, run_mechanism(name, market, 3))
+                for name in ("RM", "TTC", "DA")}
+    assert verdicts == {"RM": False, "TTC": True, "DA": True}
