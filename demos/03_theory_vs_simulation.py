@@ -39,7 +39,7 @@ for d in range(draws):
     order = rng.permutation(n)
     alloc = serial_dictatorship(market, order)
     for k, t in enumerate(order):
-        counts[k, market.prefs[t].index(alloc.assignment[t])] += 1
+        counts[k, market.rank_table[t, alloc.assignment[t]] - 1] += 1
 freq = counts / draws
 print(f"dictator placement at n={n} ({draws} draws): theory / simulated")
 for k in range(1, n + 1):

@@ -39,8 +39,8 @@ def short_list_market(n, seed):
     full = generate_uniform_market(n, seed)
     rng = np.random.default_rng(derive_seed(seed, 99))
     lengths = rng.integers(3, 8, size=n)
-    prefs = tuple(p[: int(k)] for p, k in zip(full.prefs, lengths))
-    return Market(capacities=full.capacities, prefs=prefs, priorities=full.priorities)
+    prefs = [p[:k] for p, k in zip(full.pref_array.tolist(), lengths.tolist())]
+    return Market(capacities=full.capacities, prefs=prefs, priorities=full.priority_array)
 
 
 print(__doc__)

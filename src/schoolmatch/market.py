@@ -5,15 +5,15 @@ Market files may use arbitrary integer ids; the loader maps them onto
 indices (ascending id order) and keeps the original ids for round-tripping
 and reporting.  All algorithmic code works on indices.
 
-A market stores its lists as read-only arrays padded with -1, which
-mechanisms and metrics read directly and through ``rank_table`` and
-``priority_table``, and an allocation one read-only int64 array; tuple
-views of both are built only when first read.  Each list array and
-table is int16 when every value it holds fits, else int32, so the lists
-and tables of an n-student uniform market take 8 n^2 bytes up to
-n = 32 765.  A list or assignment entry, capacity or id that does not
-convert exactly (a fraction, or an id the narrower type would wrap)
-raises ValueError.
+A market stores its lists only as read-only arrays padded with -1,
+which mechanisms and metrics read directly and through ``rank_table``
+and ``priority_table``, and which copies and pickles carry as they are.
+An allocation stores one read-only int64 array; its tuple view is built
+only when first read.  Each list array and table is int16 when every
+value it holds fits, else int32, so the lists and tables of an
+n-student uniform market take 8 n^2 bytes up to n = 32 765.  A list or
+assignment entry, capacity or id that does not convert exactly (a
+fraction, or an id the narrower type would wrap) raises ValueError.
 
 Each list is screened once per market, and its screen is both its
 lookup table and its problems: the lookups raise the first problem and
@@ -211,8 +211,7 @@ class Market:
     entry fits, else int32) with ``list_lengths`` and
     ``priority_lengths`` (read-only int64).  A read-only array already
     in that type over read-only memory is adopted without a copy;
-    anything else is copied.  ``prefs`` and ``priorities`` are tuple
-    views built on first access.  Construction refuses only a list
+    anything else is copied.  Construction refuses only a list
     entry, capacity or id that does not convert exactly to int32 or int
     (ValueError); each list's screen, cached on first use, finds its
     other problems, which ``validate_market`` reports and the table
@@ -248,7 +247,8 @@ class Market:
         return Market._of(**{f.name: getattr(self, f.name) for f in fields(self)} | changes)
 
     def __eq__(self, other) -> bool:
-        """Whether the tuple views are equal, read off the arrays."""
+        """Whether both hold the same capacities, ids and lists, whatever
+        the arrays' types or padded widths."""
         return (isinstance(other, Market) and self.capacities == other.capacities
                 and self.student_ids == other.student_ids
                 and self.school_ids == other.school_ids
@@ -262,8 +262,14 @@ class Market:
                      self.list_lengths.tobytes(), self.priority_lengths.tobytes()))
 
     def __reduce__(self):
-        return Market, (self.capacities, self.prefs, self.priorities, self.student_ids,
-                        self.school_ids)  # copies and unpickled markets are read-only too
+        return Market._of, (), {f.name: getattr(self, f.name) for f in fields(self)}
+
+    def __setstate__(self, stored: dict) -> None:
+        """Copies and unpickled markets hold the stored fields read-only too."""
+        for value in stored.values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+        vars(self).update(stored)
 
     @property
     def n_students(self) -> int:
@@ -285,18 +291,6 @@ class Market:
     # Cached derived views.  cached_property writes straight into
     # __dict__, which is fine on a frozen dataclass; the arrays are
     # marked read-only so sharing them cannot break immutability.
-
-    @cached_property
-    def prefs(self) -> tuple[tuple[int, ...], ...]:
-        """Per student, the preference list as a tuple of school indices."""
-        rows = zip(self.pref_array.tolist(), self.list_lengths.tolist())
-        return tuple(tuple(row[:k]) for row, k in rows)
-
-    @cached_property
-    def priorities(self) -> tuple[tuple[int, ...], ...]:
-        """Per school, the priority list as a tuple of student indices."""
-        rows = zip(self.priority_array.tolist(), self.priority_lengths.tolist())
-        return tuple(tuple(row[:k]) for row, k in rows)
 
     @cached_property
     def _pref_screen(self) -> tuple[np.ndarray, list[str]]:
@@ -639,9 +633,8 @@ def _read_lists(rows: list[tuple[int, str]], ids: list[int], owners: list[int],
 
 def save_market(market: Market, path: str | Path) -> None:
     """Write ``market`` in the canonical file format (ids ascending),
-    from the stored arrays ``_BLOCK_CELLS`` list cells at a time, without
-    building the tuple views.  A market that ``validate_market`` flags
-    raises ValueError unwritten."""
+    from the stored arrays ``_BLOCK_CELLS`` list cells at a time.  A
+    market that ``validate_market`` flags raises ValueError unwritten."""
     if problems := validate_market(market):
         raise ValueError("cannot save an invalid market: " + "; ".join(problems))
     with open(path, "w", encoding="utf-8") as out:

@@ -18,7 +18,7 @@ from contextvars import ContextVar
 import numpy as np
 
 from schoolmatch.assignment import min_cost_assignment
-from schoolmatch.market import UNASSIGNED, Allocation, Market
+from schoolmatch.market import UNASSIGNED, Allocation, Market, _exact
 
 __all__ = [
     "MECHANISMS",
@@ -147,8 +147,9 @@ def top_trading_cycles(market: Market) -> Allocation:
 
 
 def serial_dictatorship(market: Market, order) -> Allocation:
-    """Each student, in ``order``, takes their best school with a free seat."""
-    order = [int(t) for t in order]
+    """Each student, in ``order``, takes their best school with a free seat.
+    An entry that does not convert exactly to int64 raises ValueError."""
+    order = _exact(np.asarray(order), np.int64, "order position", "student", lambda i: i).tolist()
     if sorted(order) != list(range(market.n_students)):
         raise ValueError("order must be a permutation of all students")
     prefs, lengths = _checked_prefs(market)
@@ -250,9 +251,10 @@ def rank_minimizing(market: Market, seed: int) -> Allocation:
         if key in memo:
             return memo[key]
     table, columns, seats, row_perm = _shuffled_rank_costs(market, seed)
-    result = min_cost_assignment(table, columns)
     assignment = np.empty(market.n_students, dtype=np.int64)
-    assignment[row_perm] = seats[list(result.col_of_row)]
+    if market.n_students:  # the solver refuses an empty matrix
+        result = min_cost_assignment(table, columns)
+        assignment[row_perm] = seats[list(result.col_of_row)]
     allocation = Allocation(assignment)
     if memo is not None:
         memo[key] = allocation

@@ -2,7 +2,8 @@
 
 Everything here works by enumeration straight from the definitions, or
 by the plain tuple loops the array code replaced, and never calls the
-code paths it is used to check.  ``random_market_lists`` draws the
+code paths it is used to check.  ``lists_of`` rebuilds a market's
+lists as tuples for them, ``random_market_lists`` draws the
 inputs for the comparisons, ``write_city_market`` writes a large market
 file, ``peak_of`` measures a call's traced memory, and ``counted_solves``
 counts RM's solver calls.
@@ -26,6 +27,15 @@ from schoolmatch.market import (
 )
 
 
+def lists_of(market: Market) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """(preference lists, priority lists) of ``market``, each list a tuple
+    of indices, rebuilt from its padded arrays."""
+    def rows(lists, lengths):
+        return tuple(tuple(row[:k]) for row, k in zip(lists.tolist(), lengths.tolist()))
+    return (rows(market.pref_array, market.list_lengths),
+            rows(market.priority_array, market.priority_lengths))
+
+
 def all_full_allocations(market: Market):
     """Every allocation of all students to seats (balanced markets).
 
@@ -43,12 +53,13 @@ def all_full_allocations(market: Market):
 
 
 def ranks_by_definition(market: Market, allocation: Allocation) -> list[int]:
+    prefs, _ = lists_of(market)
     out = []
     for t, s in enumerate(allocation.assignment):
         if s == -1:
-            out.append(len(market.prefs[t]) + 1)
+            out.append(len(prefs[t]) + 1)
         else:
-            out.append(market.prefs[t].index(s) + 1)
+            out.append(prefs[t].index(s) + 1)
     return out
 
 
@@ -64,7 +75,7 @@ def pareto_optimal_by_enumeration(market: Market, allocation: Allocation) -> boo
     allocation in which each student holds a school on their list or
     none and is no worse off than under ``allocation`` (only those can
     dominate it), keeping those that ``validate_allocation`` accepts."""
-    lists = [(*prefs, UNASSIGNED) for prefs in market.prefs]
+    lists = [(*prefs, UNASSIGNED) for prefs in lists_of(market)[0]]
     options = [row[:row.index(s) + 1] for row, s in zip(lists, allocation.assignment)]
     candidates = (Allocation(choice) for choice in itertools.product(*options))
     return not any(dominates(market, x, allocation)
@@ -114,22 +125,21 @@ def envious_by_definition(market: Market, allocation: Allocation) -> set[int]:
     """Direct double loop over the two envy conditions.  A seat holder
     the school does not rank stands below every student it ranks."""
     out = set()
+    prefs, priorities = lists_of(market)
     assignment = allocation.assignment
     for t in range(market.n_students):
         own = assignment[t]
-        own_rank = (
-            market.prefs[t].index(own) if own >= 0 else len(market.prefs[t])
-        )
+        own_rank = prefs[t].index(own) if own >= 0 else len(prefs[t])
         for s in range(market.n_schools):
-            if s not in market.prefs[t] or market.prefs[t].index(s) >= own_rank:
+            if s not in prefs[t] or prefs[t].index(s) >= own_rank:
                 continue
-            if t not in market.priorities[s]:
+            if t not in priorities[s]:
                 continue
             admitted = [t2 for t2, s2 in enumerate(assignment) if s2 == s]
             if len(admitted) < market.capacities[s]:
                 out.add(t)
                 break
-            ranked = market.priorities[s]
+            ranked = priorities[s]
             if any(t2 not in ranked or ranked.index(t2) > ranked.index(t) for t2 in admitted):
                 out.add(t)
                 break
@@ -151,15 +161,16 @@ def deferred_acceptance_by_proposals(market: Market) -> Allocation:
     list; the school holds its best proposers up to capacity and rejects
     the rest, and any student it does not rank."""
     n = market.n_students
-    position = [{t: i for i, t in enumerate(ranked)} for ranked in market.priorities]
+    prefs, priorities = lists_of(market)
+    position = [{t: i for i, t in enumerate(ranked)} for ranked in priorities]
     held: list[list[int]] = [[] for _ in market.capacities]
     proposals = [0] * n
     free = list(range(n))
     while free:
         t = free.pop()
-        if proposals[t] == len(market.prefs[t]):
+        if proposals[t] == len(prefs[t]):
             continue  # rejected by every school on the list
-        s = market.prefs[t][proposals[t]]
+        s = prefs[t][proposals[t]]
         proposals[t] += 1
         if t not in position[s]:
             free.append(t)  # the school does not rank them
@@ -290,11 +301,12 @@ def position_table_by_definition(lists, width: int) -> np.ndarray:
 def validate_market_by_loops(market: Market) -> list[str]:
     """validate_market as the loops over tuple lists it replaced."""
     n, m = market.n_students, market.n_schools
+    prefs, priorities = lists_of(market)
     problems: list[str] = []
     for s, cap in enumerate(market.capacities):
         if cap < 0:
             problems.append(f"school {s}: negative capacity {cap}")
-    for t, plist in enumerate(market.prefs):
+    for t, plist in enumerate(prefs):
         seen: set[int] = set()
         for s in plist:
             if not 0 <= s < m:
@@ -302,9 +314,9 @@ def validate_market_by_loops(market: Market) -> list[str]:
             elif s in seen:
                 problems.append(f"student {t}: duplicate school {s} in preference list")
             seen.add(s)
-    if len(market.priorities) != m:
-        problems.append(f"priorities cover {len(market.priorities)} schools, expected {m}")
-    for s, plist in enumerate(market.priorities):
+    if len(priorities) != m:
+        problems.append(f"priorities cover {len(priorities)} schools, expected {m}")
+    for s, plist in enumerate(priorities):
         seen = set()
         for t in plist:
             if not 0 <= t < n:
@@ -395,6 +407,7 @@ def validate_allocation_by_loops(market: Market, allocation: Allocation) -> list
         )
         return problems
     filled = [0] * market.n_schools
+    prefs, _ = lists_of(market)
     for t, s in enumerate(allocation.assignment):
         if s == UNASSIGNED:
             continue
@@ -402,7 +415,7 @@ def validate_allocation_by_loops(market: Market, allocation: Allocation) -> list
             problems.append(f"student {t}: unknown school id {s}")
             continue
         filled[s] += 1
-        if s not in market.prefs[t]:
+        if s not in prefs[t]:
             problems.append(f"student {t}: assigned school {s} they never ranked")
     for s, count in enumerate(filled):
         if count > market.capacities[s]:
@@ -417,21 +430,22 @@ def manipulated_prefs_by_tuples(market: Market, baseline: Allocation, kind: str,
     """The preference lists apply_manipulation returns, computed the way
     its tuple-based version did: a scan of the lists for eligibility, the
     same draw over the eligible in ascending order, and tuple rewrites."""
+    prefs, _ = lists_of(market)
     eligible = []
     for t, s in enumerate(baseline.assignment):
-        plist = market.prefs[t]
+        plist = prefs[t]
         realized = plist.index(s) + 1 if s >= 0 else len(plist) + 1
         if not (s >= 0 and realized <= (1 if kind == "drop_assigned" else 2)):
             eligible.append(t)
     count = int(math.floor(share * len(eligible) + 0.5))
     if count == 0:
-        return market.prefs
+        return prefs
     rng = np.random.default_rng(seed)
     chosen = set(int(i) for i in rng.choice(len(eligible), size=count, replace=False))
-    new_prefs = list(market.prefs)
+    new_prefs = list(prefs)
     for idx in chosen:
         t = eligible[idx]
-        plist = market.prefs[t]
+        plist = prefs[t]
         if kind == "drop_assigned":
             s = baseline.assignment[t]
             if s >= 0:

@@ -220,7 +220,7 @@ def test_rsd_theory_oracles():
         order = rng.permutation(n)
         alloc = serial_dictatorship(market, order)
         for k, t in enumerate(order):
-            counts[k, market.prefs[t].index(alloc.assignment[t])] += 1
+            counts[k, market.rank_table[t, alloc.assignment[t]] - 1] += 1
     freq = counts / draws
     bad_cells = []
     for k in range(n):
@@ -325,8 +325,8 @@ def _short_list_market(n: int, seed: int) -> Market:
     full = generate_uniform_market(n, seed)
     rng = np.random.default_rng(derive_seed(seed, 99))
     lengths = rng.integers(3, 8, size=n)
-    prefs = tuple(p[: int(k)] for p, k in zip(full.prefs, lengths))
-    return Market(capacities=full.capacities, prefs=prefs, priorities=full.priorities)
+    prefs = [p[:k] for p, k in zip(full.pref_array.tolist(), lengths.tolist())]
+    return Market(capacities=full.capacities, prefs=prefs, priorities=full.priority_array)
 
 
 def test_manipulation_desk_scale():

@@ -23,6 +23,7 @@ from schoolmatch.metrics import justified_envy, rank_stats
 from schoolmatch.simulate import generate_uniform_market
 
 from oracles import (
+    lists_of,
     load_market_by_loops,
     peak_of,
     position_table_by_definition,
@@ -111,8 +112,7 @@ class TestMarketFiles:
         path.write_text(SAMPLE)
         m = load_market(path)
         assert m.capacities == (1, 1)
-        assert m.prefs == ((0, 1), (0, 1))
-        assert m.priorities == ((1, 0), (0, 1))
+        assert lists_of(m) == (((0, 1), (0, 1)), ((1, 0), (0, 1)))
 
     def test_header_only(self, tmp_path):
         path = tmp_path / "m.txt"
@@ -148,12 +148,12 @@ class TestMarketFiles:
         path = tmp_path / "m.txt"
         path.write_text("[schools]\n0,1\n[students]\n0,0\n")
         m = load_market(path)
-        assert m.priorities == ((),)
+        assert lists_of(m)[1] == ((),)
 
     def test_byte_order_mark_tolerated(self, tmp_path):
         path = tmp_path / "m.txt"
         path.write_bytes("﻿".encode("utf-8") + SAMPLE.encode("utf-8"))
-        assert load_market(path).prefs == ((0, 1), (0, 1))
+        assert lists_of(load_market(path))[0] == ((0, 1), (0, 1))
 
     def test_arbitrary_ids_sorted_ascending(self, tmp_path):
         path = tmp_path / "m.txt"
@@ -165,8 +165,7 @@ class TestMarketFiles:
         assert m.student_ids == (3, 7)
         assert m.capacities == (2, 1)
         # student 7 (index 1) listed school 20 (index 1) first
-        assert m.prefs == ((0,), (1, 0))
-        assert m.priorities == ((1, 0), ())
+        assert lists_of(m) == (((0,), (1, 0)), ((1, 0), ()))
 
     def test_load_save_identity(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -174,8 +173,8 @@ class TestMarketFiles:
             n = int(rng.integers(1, 8))
             m = generate_uniform_market(n, int(rng.integers(0, 2**32)))
             # randomly truncate some lists to cover the partial case
-            prefs = tuple(p[: int(rng.integers(0, len(p))) + 1] for p in m.prefs)
-            m = Market(capacities=m.capacities, prefs=prefs, priorities=m.priorities)
+            prefs = tuple(p[: int(rng.integers(0, len(p))) + 1] for p in lists_of(m)[0])
+            m = Market(capacities=m.capacities, prefs=prefs, priorities=m.priority_array)
             path = tmp_path / f"m{i}.txt"
             save_market(m, path)
             assert load_market(path) == m
@@ -411,11 +410,12 @@ class TestMarketFiles:
         assert peak_of(load_market, path) < 4 * path.stat().st_size
 
     def test_save_leaves_the_market_as_it_found_it(self, tmp_path):
-        # save_market writes from the stored arrays: no tuple view is
-        # built and cached on the market
+        # save_market writes from the stored arrays: it caches nothing on
+        # the market but the list screens its validation reads
         m = generate_uniform_market(50, 3)
+        stored = set(vars(m))
         save_market(m, tmp_path / "m.txt")
-        assert "prefs" not in vars(m) and "priorities" not in vars(m)
+        assert set(vars(m)) == stored | {"_pref_screen", "_priority_screen"}
         assert load_market(tmp_path / "m.txt") == m
 
     def test_undecodable_byte_names_its_line(self, tmp_path):
@@ -467,9 +467,9 @@ class TestEffectiveRanks:
         for _ in range(50):
             n = int(rng.integers(1, 9))
             m = generate_uniform_market(n, int(rng.integers(0, 2**32)))
-            for t in range(n):
-                ranks = sorted(m.rank_table[t, list(m.prefs[t])].tolist())
-                assert ranks == list(range(1, len(m.prefs[t]) + 1))
+            for t, plist in enumerate(lists_of(m)[0]):
+                ranks = sorted(m.rank_table[t, list(plist)].tolist())
+                assert ranks == list(range(1, len(plist) + 1))
 
     @pytest.mark.parametrize("school", [5, 2, -2])
     def test_unknown_school_id_refused(self, school):
@@ -503,11 +503,10 @@ class TestArrayStorage:
         for _ in range(count):
             yield random_market_lists(rng, **sizes)
 
-    def test_tuple_views_equal_nested_input(self):
+    def test_stored_lists_equal_nested_input(self):
         for caps, prefs, prios in self.random_markets(31):
             m = Market(capacities=caps, prefs=prefs, priorities=prios)
-            assert m.prefs == tuple(map(tuple, prefs))
-            assert m.priorities == tuple(map(tuple, prios))
+            assert lists_of(m) == (tuple(map(tuple, prefs)), tuple(map(tuple, prios)))
             assert m.capacities == tuple(caps)
             assert m.list_lengths.tolist() == [len(p) for p in prefs]
             assert m.priority_lengths.tolist() == [len(p) for p in prios]
@@ -527,47 +526,45 @@ class TestArrayStorage:
             assert hash(from_arrays) == hash(nested)
             # the market keeps its own copy of the caller's arrays
             prefs[0] = prefs[0][::-1]
-            assert from_arrays.prefs == nested.prefs
+            assert lists_of(from_arrays) == lists_of(nested)
         assert Market(capacities=(1, 1), prefs=((0, 1),), priorities=((0,), (0,))) != Market(
             capacities=(1, 1), prefs=((1, 0),), priorities=((0,), (0,))
         )
 
-    def test_equality_matches_tuple_views(self):
-        # (market, its tuple views built from the lists, not from the market)
+    def test_equality_matches_lists(self):
+        # (market, its fields as tuples built from the inputs, not from the market)
         cases = []
         for caps, prefs, prios in self.random_markets(35, count=40, max_students=4,
                                                       max_schools=3):
-            views = [tuple(caps), tuple(map(tuple, prefs)), tuple(map(tuple, prios)),
-                     tuple(range(len(prefs))), tuple(range(len(caps)))]
+            as_tuples = [tuple(caps), tuple(map(tuple, prefs)), tuple(map(tuple, prios)),
+                         tuple(range(len(prefs))), tuple(range(len(caps)))]
             m = Market(capacities=caps, prefs=prefs, priorities=prios)
-            cases.append((m, views))
+            cases.append((m, as_tuples))
             # the same lists stored as int32, padded two columns wider
             wider = {name: np.pad(getattr(m, name).astype(np.int32), ((0, 0), (0, 2)),
                                   constant_values=-1) for name in ("pref_array", "priority_array")}
-            cases.append((m._replace(**wider), views))
+            cases.append((m._replace(**wider), as_tuples))
             # one list a school shorter, one more seat, other school ids
             if prefs[0]:
                 short = [prefs[0][:-1], *prefs[1:]]
                 cases.append((Market(caps, short, prios),
-                              [views[0], tuple(map(tuple, short)), *views[2:]]))
+                              [as_tuples[0], tuple(map(tuple, short)), *as_tuples[2:]]))
             cases.append((Market([caps[0] + 1, *caps[1:]], prefs, prios),
-                          [(caps[0] + 1, *caps[1:]), *views[1:]]))
+                          [(caps[0] + 1, *caps[1:]), *as_tuples[1:]]))
             school_ids = range(5, 5 + len(caps))
             cases.append((Market(caps, prefs, prios, school_ids=school_ids),
-                          [*views[:4], tuple(school_ids)]))
+                          [*as_tuples[:4], tuple(school_ids)]))
         empty = [(), (), (), (), ()]
         cases += [(Market((), np.empty((0, 3), dtype=np.int64), ()), empty),
                   (Market((), (), ()), empty)]
         equal_pairs = 0
-        for a, a_views in cases:
-            for b, b_views in cases:
-                assert (a == b) == (a_views == b_views)
+        for a, a_tuples in cases:
+            for b, b_tuples in cases:
+                assert (a == b) == (a_tuples == b_tuples)
                 if a == b:
                     equal_pairs += a is not b
                     assert hash(a) == hash(b)
         assert equal_pairs > 2 * 40 + 2  # each wider copy and the empty pair, both ways
-        for m, _ in cases:
-            assert "prefs" not in vars(m) and "priorities" not in vars(m)
 
     def test_tables_match_definition(self):
         for caps, prefs, prios in self.random_markets(33):
@@ -591,6 +588,21 @@ class TestArrayStorage:
                     setattr(m, name, arr.copy())
             with pytest.raises(AttributeError):
                 m.capacities = ()
+
+    def test_pickle_carries_the_stored_arrays(self):
+        # a pickle or deep copy ships the stored arrays as they are, not
+        # lists rebuilt from them: the payload is the arrays' bytes plus a
+        # few kilobytes of capacities, ids and framing
+        m = generate_uniform_market(300, 3)
+        names = ("pref_array", "list_lengths", "priority_array", "priority_lengths")
+        stored = sum(getattr(m, name).nbytes for name in names)
+        assert len(pickle.dumps(m)) <= stored + 8 * 1024
+        for copied in (pickle.loads(pickle.dumps(m)), copy.deepcopy(m)):
+            assert copied == m
+            assert copied.pref_array.dtype == copied.priority_array.dtype == np.int16
+            for name in names:
+                assert getattr(copied, name).dtype == getattr(m, name).dtype
+                assert not getattr(copied, name).flags.writeable, name
 
     def test_read_only_int32_array_stored_without_copy(self):
         # a read-only array already in the type its entries need is
@@ -635,7 +647,7 @@ class TestArrayStorage:
                                ([-2**15 - 1], np.int32), ([2**15], np.int32)):
             assert _list_type(np.array(entries, dtype=np.int32)) is dtype
             m = Market((1,), [entries], [()])
-            assert m.pref_array.dtype == dtype and m.prefs == (tuple(entries),)
+            assert m.pref_array.dtype == dtype and lists_of(m)[0] == (tuple(entries),)
 
     @pytest.mark.parametrize("m_schools, dtype", [(2**15 - 3, np.int16), (2**15 - 2, np.int32)])
     def test_rank_table_sentinel_reads_back(self, m_schools, dtype):
@@ -660,7 +672,7 @@ class TestArrayStorage:
     def test_id_past_int16_is_stored_and_reported(self):
         # construction stores the id exactly; the screen reports it
         m = Market(capacities=(1, 1, 1), prefs=[[0, 40000], [1]], priorities=[(0, 1)] * 3)
-        assert m.pref_array.dtype == np.int32 and m.prefs == ((0, 40000), (1,))
+        assert m.pref_array.dtype == np.int32 and lists_of(m)[0] == ((0, 40000), (1,))
         assert validate_market(m) == ["student 0: unknown school id 40000"]
         with pytest.raises(ValueError, match="^student 0: unknown school id 40000$"):
             m.rank_table
@@ -678,7 +690,7 @@ class TestArrayStorage:
             Market((1, 1), [[0, 1], [1, 0]], [[0, 1], [1, 2**32 + 1]])
         # a whole float converts exactly and is kept
         m = Market((1, 1), [[0.0, 1.0], [1, 0]], [[0, 1], [1, 0]])
-        assert m.prefs == ((0, 1), (1, 0)) and not validate_market(m)
+        assert lists_of(m)[0] == ((0, 1), (1, 0)) and not validate_market(m)
 
     def test_array_entries_must_be_exact_ids(self):
         # int64 2**32 + 1 would wrap to the valid id 1 in int32

@@ -191,6 +191,13 @@ class TestSerialDictatorship:
         with pytest.raises(ValueError):
             serial_dictatorship(m, [0, 0, 1])
 
+    def test_order_entries_must_be_exact(self):
+        # 1.5 is refused, not truncated into student 1; a whole float is kept
+        m = generate_uniform_market(2, 0)
+        with pytest.raises(ValueError, match="order position 1: student id 1.5 does not convert"):
+            serial_dictatorship(m, [0, 1.5])
+        assert serial_dictatorship(m, [1.0, 0.0]) == serial_dictatorship(m, [1, 0])
+
     def test_seed_determinism(self):
         m = generate_uniform_market(20, 77)
         assert (
@@ -247,7 +254,7 @@ class TestRankMinimizing:
         m1 = market_3x3()
         m2 = Market(
             capacities=m1.capacities,
-            prefs=m1.prefs,
+            prefs=m1.pref_array,
             priorities=((2, 1, 0), (0, 2, 1), (1, 0, 2)),
         )
         for seed in range(10):
@@ -357,6 +364,14 @@ class TestCrossMechanismProperties:
         m = Market(capacities=(0, 2), prefs=((0, 1), (0, 1)), priorities=((0, 1), (0, 1)))
         for name in ("DA", "TTC", "RSD", "RM"):
             assert run_mechanism(name, m, 3).assignment == (1, 1), name
+        # a market with no students seats nobody, but its capacities are
+        # still screened
+        empty = Market(capacities=(1,), prefs=(), priorities=((),))
+        negative = Market(capacities=(-1,), prefs=(), priorities=((),))
+        for name in ("DA", "TTC", "RSD", "RM"):
+            assert run_mechanism(name, empty, 3).assignment == (), name
+            with pytest.raises(ValueError, match="school 0: negative capacity -1"):
+                run_mechanism(name, negative, 3)
 
     # A repeated id is refused too: the scatter into the rank table would
     # keep its last position, rank 2 for student 0's first choice.

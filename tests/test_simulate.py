@@ -21,7 +21,7 @@ from schoolmatch.simulate import (
     run_experiment,
 )
 
-from oracles import manipulated_prefs_by_tuples, peak_of, random_market_lists
+from oracles import lists_of, manipulated_prefs_by_tuples, peak_of, random_market_lists
 from test_solver_vs_scipy import partial_market
 
 
@@ -58,8 +58,7 @@ class TestGenerateUniformMarket:
     def test_one_by_one(self):
         m = generate_uniform_market(1, 0)
         assert m.capacities == (1,)
-        assert m.prefs == ((0,),)
-        assert m.priorities == ((0,),)
+        assert lists_of(m) == (((0,),), ((0,),))
 
     def test_deterministic(self):
         assert generate_uniform_market(8, 99) == generate_uniform_market(8, 99)
@@ -67,7 +66,8 @@ class TestGenerateUniformMarket:
 
     def test_lists_are_permutations(self):
         m = generate_uniform_market(12, 5)
-        for p in m.prefs + m.priorities:
+        prefs, priorities = lists_of(m)
+        for p in prefs + priorities:
             assert sorted(p) == list(range(12))
 
     def test_first_position_uniform(self):
@@ -76,7 +76,7 @@ class TestGenerateUniformMarket:
         counts = np.zeros(n)
         for d in range(draws):
             m = generate_uniform_market(n, derive_seed(7, d))
-            counts[m.prefs[0][0]] += 1
+            counts[m.pref_array[0, 0]] += 1
         freq = counts / draws
         se = (0.2 * 0.8 / draws) ** 0.5
         assert np.all(np.abs(freq - 0.2) <= 3 * se)
@@ -118,14 +118,14 @@ class TestApplyManipulation:
         m = self.market()
         baseline = Allocation((1, 0, 2))
         out = apply_manipulation(m, baseline, "drop_assigned", 1.0, 0)
-        assert out.prefs[0] == (0, 2, 1)
+        assert lists_of(out)[0][0] == (0, 2, 1)
 
     def test_drop_first_rotates_top_choice_to_end(self):
         # student assigned c (rank 3): [a,b,c] -> [b,c,a]
         m = self.market()
         baseline = Allocation((2, 0, 1))
         out = apply_manipulation(m, baseline, "drop_first", 1.0, 0)
-        assert out.prefs[0] == (1, 2, 0)
+        assert lists_of(out)[0][0] == (1, 2, 0)
 
     def test_share_bounds(self):
         m = self.market()
@@ -139,20 +139,20 @@ class TestApplyManipulation:
         m = self.market()
         # ranks realized: student 0 -> 1, student 1 -> 2, student 2 -> 3
         baseline = Allocation((0, 1, 2))
-        out = apply_manipulation(m, baseline, "drop_assigned", 1.0, 0)
-        assert out.prefs[0] == (0, 1, 2)  # first-choice student untouched
-        assert out.prefs[1] == (0, 2, 1)
-        assert out.prefs[2] == (0, 1, 2)[:2] + (2,)  # assigned last stays last
-        out = apply_manipulation(m, baseline, "drop_first", 1.0, 0)
-        assert out.prefs[0] == (0, 1, 2)  # rank 1: not eligible
-        assert out.prefs[1] == (0, 1, 2)  # rank 2: not eligible
-        assert out.prefs[2] == (1, 2, 0)
+        prefs, _ = lists_of(apply_manipulation(m, baseline, "drop_assigned", 1.0, 0))
+        assert prefs[0] == (0, 1, 2)  # first-choice student untouched
+        assert prefs[1] == (0, 2, 1)
+        assert prefs[2] == (0, 1, 2)[:2] + (2,)  # assigned last stays last
+        prefs, _ = lists_of(apply_manipulation(m, baseline, "drop_first", 1.0, 0))
+        assert prefs[0] == (0, 1, 2)  # rank 1: not eligible
+        assert prefs[1] == (0, 1, 2)  # rank 2: not eligible
+        assert prefs[2] == (1, 2, 0)
 
     def test_unassigned_eligible_but_unchanged_for_drop_assigned(self):
         m = Market(capacities=(1,), prefs=((0,), (0,)), priorities=((0, 1),))
         baseline = Allocation((0, -1))
         out = apply_manipulation(m, baseline, "drop_assigned", 1.0, 0)
-        assert out.prefs == m.prefs
+        assert lists_of(out) == lists_of(m)
 
     def test_matches_tuple_version(self):
         rng = np.random.default_rng(41)
@@ -164,18 +164,18 @@ class TestApplyManipulation:
                 for share in (0.3, 0.5, 1.0):
                     seed = int(rng.integers(2**32))
                     out = apply_manipulation(m, baseline, kind, share, seed)
-                    assert out.prefs == manipulated_prefs_by_tuples(m, baseline, kind, share, seed)
-                    assert out.priorities == m.priorities
+                    prefs, priorities = lists_of(out)
+                    assert prefs == manipulated_prefs_by_tuples(m, baseline, kind, share, seed)
+                    assert priorities == lists_of(m)[1]
                     assert out.capacities == m.capacities
 
     def test_subset_size_rounds(self):
         m = generate_uniform_market(10, 3)
         baseline = rank_minimizing(m, 3)
-        eligible = [
-            t for t, s in enumerate(baseline.assignment) if m.prefs[t].index(s) > 0
-        ]
+        prefs, _ = lists_of(m)
+        eligible = [t for t, s in enumerate(baseline.assignment) if prefs[t].index(s) > 0]
         out = apply_manipulation(m, baseline, "drop_assigned", 0.5, 9)
-        changed = sum(a != b for a, b in zip(out.prefs, m.prefs))
+        changed = sum(a != b for a, b in zip(lists_of(out)[0], prefs))
         assert changed == int(np.floor(0.5 * len(eligible) + 0.5))
 
     def test_deterministic_in_seed(self):
