@@ -5,9 +5,10 @@ Market files may use arbitrary integer ids; the loader maps them onto
 indices (ascending id order) and keeps the original ids for round-tripping
 and reporting.  All algorithmic code works on indices.
 
-A market stores its lists only as read-only arrays padded with -1,
-which mechanisms and metrics read directly and through ``rank_table``
-and ``priority_table``, and which copies and pickles carry as they are.
+A market stores its lists only as read-only arrays padded with -1 and
+as wide as the longest list, which mechanisms and metrics read directly
+and through ``rank_table`` and ``priority_table``, and which copies and
+pickles carry as they are.
 An allocation stores one read-only int64 array; its tuple view is built
 only when first read.  Each list array and table is int16 when every
 value it holds fits, else int32, so the lists and tables of an
@@ -76,16 +77,23 @@ def _exact(values: np.ndarray, dtype, owner: str, item: str, row_of) -> np.ndarr
     return cast
 
 
+def _exact_int(value) -> int | None:
+    """``value`` as a Python int, or None when int() refuses or changes it
+    (a fraction, nan, inf or None)."""
+    try:
+        exact = int(value)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return exact if exact == value else None
+
+
 def _exact_ints(values, owner: str, item: str) -> tuple[int, ...]:
-    """``values`` as Python ints; the first one int() refuses or changes (a
-    fraction, nan or inf) raises ValueError naming its ``owner`` index."""
+    """``values`` as Python ints; the first one ``_exact_int`` refuses
+    raises ValueError naming its ``owner`` index."""
     ints = []
     for i, v in enumerate(values):
-        try:
-            ints.append(int(v))
-        except (TypeError, ValueError, OverflowError):
-            ints.append(None)
-        if ints[-1] != v:
+        ints.append(_exact_int(v))
+        if ints[-1] is None:
             raise ValueError(f"{owner} {i}: {item} {v} does not convert exactly to int")
     return tuple(ints)
 
@@ -105,14 +113,14 @@ def _list_type(entries: np.ndarray) -> type:
 
 
 def _as_padded(lists, owner: str, item: str) -> tuple[np.ndarray, np.ndarray]:
-    """Nested sequences, or a 2-D array of full-length lists, as
-    (read-only array padded with -1, read-only int64 list lengths).  An
-    entry that is not an exact int32 raises ValueError naming its
+    """Nested sequences, or a 2-D array of full-length lists, as (array
+    padded with -1 and as wide as the longest list, int64 list lengths).
+    An entry that is not an exact int32 raises ValueError naming its
     ``owner`` row; the rest are stored in ``_list_type``.  A read-only
     array of that type over read-only memory is kept as it is; anything
     else is copied, so the caller cannot write to what the market
-    stores."""
-    if isinstance(lists, np.ndarray) and lists.ndim == 2:
+    stores.  A 2-D array with no rows is read as no lists, 0 wide."""
+    if isinstance(lists, np.ndarray) and lists.ndim == 2 and len(lists):
         # a read-only view of an array the caller can still write is copied
         base = lists.base if isinstance(lists.base, np.ndarray) else lists
         writable = lists.flags.writeable or base.flags.writeable
@@ -120,37 +128,21 @@ def _as_padded(lists, owner: str, item: str) -> tuple[np.ndarray, np.ndarray]:
             lists, np.int32, owner, item, lambda i: i // lists.shape[1])
         padded = exact.astype(_list_type(exact), copy=writable and exact is lists)
         lengths = np.full(padded.shape[0], padded.shape[1], dtype=np.int64)
-    else:
-        rows = list(lists)
-        lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-        return _pad(_exact(np.array(list(chain.from_iterable(rows))), np.int32, owner, item,
-                           lambda i: int(np.searchsorted(np.cumsum(lengths), i, side="right"))),
-                    lengths)
-    padded.setflags(write=False)
-    lengths.setflags(write=False)
-    return padded, lengths
+        return padded, lengths
+    rows = list(lists)
+    lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    return _pad(_exact(np.array(list(chain.from_iterable(rows))), np.int32, owner, item,
+                       lambda i: int(np.searchsorted(np.cumsum(lengths), i, side="right"))),
+                lengths)
 
 
 def _pad(flat: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The lists laid end to end in int32-exact ``flat``, row i
-    ``lengths[i]`` long, as (read-only ``_list_type`` array padded with
-    -1, read-only ``lengths``)."""
+    ``lengths[i]`` long, as (``_list_type`` array padded with -1 and as
+    wide as the longest list, ``lengths``)."""
     padded = np.full((lengths.size, lengths.max(initial=0)), -1, dtype=_list_type(flat))
     padded[np.arange(padded.shape[1]) < lengths[:, None]] = flat
-    padded.setflags(write=False)
-    lengths.setflags(write=False)
     return padded, lengths
-
-
-def _same_lists(a: np.ndarray, a_lengths: np.ndarray, b: np.ndarray,
-                b_lengths: np.ndarray) -> bool:
-    """Whether two padded list arrays hold the same lists, whatever their
-    types or padded widths: equal lengths, and equal entries within them."""
-    if not np.array_equal(a_lengths, b_lengths):
-        return False
-    width = int(a_lengths.max(initial=0))
-    within = np.arange(width) < a_lengths[:, None]
-    return bool((a[:, :width] == b[:, :width]).all(where=within))
 
 
 def _screen(lists: np.ndarray, lengths: np.ndarray, width: int,
@@ -207,11 +199,11 @@ class Market:
 
     prefs and priorities may be nested sequences or 2-D integer arrays
     (full lists).  They are stored as ``pref_array`` and
-    ``priority_array`` (read-only, rows padded with -1; int16 when every
-    entry fits, else int32) with ``list_lengths`` and
-    ``priority_lengths`` (read-only int64).  A read-only array already
-    in that type over read-only memory is adopted without a copy;
-    anything else is copied.  Construction refuses only a list
+    ``priority_array`` (rows padded with -1, as wide as the longest
+    list; int16 when every entry fits, else int32) with ``list_lengths``
+    and ``priority_lengths`` (int64), all read-only.  A read-only array
+    already in that type over read-only memory is adopted without a
+    copy; anything else is copied.  Construction refuses only a list
     entry, capacity or id that does not convert exactly to int32 or int
     (ValueError); each list's screen, cached on first use, finds its
     other problems, which ``validate_market`` reports and the table
@@ -233,29 +225,27 @@ class Market:
         student_ids = _exact_ints(student_ids, "student", "id") or tuple(range(len(prefs[1])))
         school_ids = _exact_ints(school_ids, "school", "id") or tuple(range(len(capacities)))
         stored = (capacities, *prefs, *priorities, student_ids, school_ids)
-        vars(self).update(zip([f.name for f in fields(self)], stored))
+        self.__setstate__(dict(zip([f.name for f in fields(self)], stored)))
 
     @classmethod
     def _of(cls, **stored) -> Market:
-        """A market holding ``stored``, every field already in stored form."""
+        """A market holding ``stored``, every field already in stored form:
+        list arrays as wide as their longest list, in their ``_list_type``."""
         market = object.__new__(cls)
-        vars(market).update(stored)
+        market.__setstate__(stored)
         return market
 
     def _replace(self, **changes) -> Market:
-        """A copy with ``changes`` in stored form; other fields are shared."""
+        """A copy with ``changes`` in ``_of``'s stored form (list arrays as
+        wide as their longest list); other fields are shared."""
         return Market._of(**{f.name: getattr(self, f.name) for f in fields(self)} | changes)
 
     def __eq__(self, other) -> bool:
         """Whether both hold the same capacities, ids and lists, whatever
-        the arrays' types or padded widths."""
-        return (isinstance(other, Market) and self.capacities == other.capacities
-                and self.student_ids == other.student_ids
-                and self.school_ids == other.school_ids
-                and _same_lists(self.pref_array, self.list_lengths,
-                                other.pref_array, other.list_lengths)
-                and _same_lists(self.priority_array, self.priority_lengths,
-                                other.priority_array, other.priority_lengths))
+        the arrays' integer types: stored lists are as wide as the longest
+        one, so the same lists are equal arrays."""
+        return isinstance(other, Market) and all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
 
     def __hash__(self) -> int:
         return hash((self.capacities, self.student_ids, self.school_ids,
@@ -265,7 +255,7 @@ class Market:
         return Market._of, (), {f.name: getattr(self, f.name) for f in fields(self)}
 
     def __setstate__(self, stored: dict) -> None:
-        """Copies and unpickled markets hold the stored fields read-only too."""
+        """The one place a market's fields are set: each stored array is made read-only."""
         for value in stored.values():
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
@@ -584,14 +574,14 @@ def _list_blocks(rows: list[tuple[int, str]]):
 
 def _read_lists(rows: list[tuple[int, str]], ids: list[int], owners: list[int],
                 owner: str, item: str, bad: list) -> tuple[np.ndarray, np.ndarray, str | None]:
-    """(read-only array padded with -1, read-only int64 lengths, the
-    first unknown id's message or None) of the (line number, text) list
-    ``rows`` of ``owners``, each id mapped onto its position in the
-    sorted, non-empty ``ids``, in the ``_list_type`` of the positions.
-    Each ``_list_blocks`` block is mapped through one lookup of ``ids``
-    straight into the array, which is widened when a block holds a
-    longer list than any before it.  Bad tokens are added to ``bad``;
-    once there is one, blocks are only screened."""
+    """(array padded with -1 and as wide as the longest list, int64
+    lengths, the first unknown id's message or None) of the (line
+    number, text) list ``rows`` of ``owners``, each id mapped onto its
+    position in the sorted, non-empty ``ids``, in the ``_list_type`` of
+    the positions.  Each ``_list_blocks`` block is mapped through one
+    lookup of ``ids`` straight into the array, which is widened when a
+    block holds a longer list than any before it.  Bad tokens are added
+    to ``bad``; once there is one, blocks are only screened."""
     padded = np.full((len(rows), 0), -1, dtype=_int_type(len(ids) - 1))
     lengths = np.zeros(len(rows), dtype=np.int64)
     lo, hi = ids[0], ids[-1]
@@ -626,8 +616,6 @@ def _read_lists(rows: list[tuple[int, str]], ids: list[int], owners: list[int],
         offsets = np.arange(start, start + counts.size) * width - heads
         padded.reshape(-1)[np.arange(found.size) + np.repeat(offsets, counts)] = found
     padded = padded.astype(_list_type(padded), copy=False)
-    padded.setflags(write=False)
-    lengths.setflags(write=False)
     return padded, lengths, unknown
 
 

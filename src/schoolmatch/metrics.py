@@ -54,7 +54,7 @@ def rank_stats(market: Market, allocation: Allocation) -> RankStats:
         mean = float(assigned.mean())
         variance = float(assigned.var(ddof=1)) if assigned.size > 1 else 0.0
     n = market.n_students
-    envy_share = np.count_nonzero(_envious(market, a, eff)) / n if n else 0.0
+    envy_share = float(np.count_nonzero(_envious(market, a, eff)) / n) if n else 0.0
     return RankStats(
         mean=mean,
         max=int(eff.max()) if eff.size else 0,

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from schoolmatch.market import Allocation, Market, _int_type, effective_ranks, load_market
+from schoolmatch.market import Allocation, Market, _exact_int, _int_type, effective_ranks, load_market
 from schoolmatch.mechanisms import MECHANISMS, run_mechanism
 from schoolmatch.metrics import RankStats, rank_stats, threshold_shares
 
@@ -160,7 +160,6 @@ def apply_manipulation(
         start = ranks[t] - 1 if kind == "drop_assigned" else 0
         tail = prefs[t, start:market.list_lengths[t]]
         tail[:] = np.roll(tail, -1)
-    prefs.setflags(write=False)
     return market._replace(pref_array=prefs)
 
 
@@ -190,7 +189,9 @@ class ExperimentConfig:
     n is the number of students in the market; a NaN cutoff is refused,
     while inf and -inf are kept (shares 0 and 1).  The report's config is
     the record of the run: its n is the file's student count when
-    market_path is set, and its thresholds are the cutoffs used.
+    market_path is set, and its thresholds are the cutoffs used.  n,
+    replications and master_seed are stored as int; a value int() does
+    not convert exactly, such as 3.5, raises ValueError naming its field.
     """
 
     n: int
@@ -202,6 +203,11 @@ class ExperimentConfig:
     market_path: str | None = None
 
     def __post_init__(self) -> None:
+        for name in ("n", "replications", "master_seed"):
+            exact = _exact_int(getattr(self, name))
+            if exact is None:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            object.__setattr__(self, name, exact)
         object.__setattr__(self, "mechanisms", tuple(self.mechanisms))
         if self.thresholds is not None:
             object.__setattr__(self, "thresholds", tuple(float(m) for m in self.thresholds))

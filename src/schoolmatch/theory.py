@@ -119,10 +119,12 @@ def rm_envy_limit(terms: int | None = None) -> float:
 def ttc_expected_avg_rank(n: int) -> float:
     """Expected average rank under top trading cycles with iid uniform
     preferences and priorities: ((n+1) H_n - n) / n, with H_n the n-th
-    harmonic number (Knuth 1996).  Grows like log n."""
+    harmonic number (Knuth 1996), summed 65,536 terms at a time so that
+    memory stays bounded.  Grows like log n."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    h_n = float(np.sum(1.0 / np.arange(1, n + 1, dtype=np.float64)))
+    h_n = math.fsum(float(np.sum(1.0 / np.arange(k, min(k + 65536, n + 1), dtype=np.float64)))
+                    for k in range(1, n + 1, 65536))
     return ((n + 1) * h_n - n) / n
 
 

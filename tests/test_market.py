@@ -20,7 +20,8 @@ from schoolmatch.market import (
     validate_market,
 )
 from schoolmatch.metrics import justified_envy, rank_stats
-from schoolmatch.simulate import generate_uniform_market
+from schoolmatch.mechanisms import run_mechanism
+from schoolmatch.simulate import apply_manipulation, generate_uniform_market
 
 from oracles import (
     lists_of,
@@ -149,6 +150,20 @@ class TestMarketFiles:
         path.write_text("[schools]\n0,1\n[students]\n0,0\n")
         m = load_market(path)
         assert lists_of(m)[1] == ((),)
+
+    def test_without_priorities_only_rsd_and_rm_assign(self, tmp_path):
+        # every priority list is empty: no school will take a student in
+        # DA or TTC, while RSD and RM never read priorities
+        path = tmp_path / "m.txt"
+        path.write_text("[schools]\n0,1\n1,2\n[students]\n0,0;1\n1,1\n2,1;0\n")
+        m = load_market(path)
+        assert lists_of(m)[1] == ((), ())
+        for mech in ("DA", "TTC"):
+            assert run_mechanism(mech, m, 0).assignment == (UNASSIGNED,) * 3
+        for mech in ("RSD", "RM"):
+            allocation = run_mechanism(mech, m, 0)
+            assert UNASSIGNED not in allocation.assignment
+            assert not validate_allocation(m, allocation)
 
     def test_byte_order_mark_tolerated(self, tmp_path):
         path = tmp_path / "m.txt"
@@ -540,10 +555,10 @@ class TestArrayStorage:
                          tuple(range(len(prefs))), tuple(range(len(caps)))]
             m = Market(capacities=caps, prefs=prefs, priorities=prios)
             cases.append((m, as_tuples))
-            # the same lists stored as int32, padded two columns wider
-            wider = {name: np.pad(getattr(m, name).astype(np.int32), ((0, 0), (0, 2)),
-                                  constant_values=-1) for name in ("pref_array", "priority_array")}
-            cases.append((m._replace(**wider), as_tuples))
+            # the same lists stored as int32, at the width every producer stores
+            int32 = {name: getattr(m, name).astype(np.int32)
+                     for name in ("pref_array", "priority_array")}
+            cases.append((m._replace(**int32), as_tuples))
             # one list a school shorter, one more seat, other school ids
             if prefs[0]:
                 short = [prefs[0][:-1], *prefs[1:]]
@@ -564,7 +579,7 @@ class TestArrayStorage:
                 if a == b:
                     equal_pairs += a is not b
                     assert hash(a) == hash(b)
-        assert equal_pairs > 2 * 40 + 2  # each wider copy and the empty pair, both ways
+        assert equal_pairs > 2 * 40 + 2  # each int32 copy and the empty pair, both ways
 
     def test_tables_match_definition(self):
         for caps, prefs, prios in self.random_markets(33):
@@ -588,6 +603,37 @@ class TestArrayStorage:
                     setattr(m, name, arr.copy())
             with pytest.raises(AttributeError):
                 m.capacities = ()
+
+    def test_every_producer_stores_canonical_lists(self, tmp_path):
+        # every list array is read-only, in its _list_type and as wide as
+        # its longest list, so equal lists are equal arrays
+        rng = np.random.default_rng(41)
+        read_only = np.array([rng.permutation(3) for _ in range(4)], dtype=np.int16)
+        past_int16 = np.array([[0, 1, 40000]], dtype=np.int32)
+        for adopted in (read_only, past_int16):
+            adopted.setflags(write=False)
+        prios = [list(range(4))] * 3
+        markets = [Market((1, 1, 2), [[2, 0], [], [1], [0, 1, 2]], prios),
+                   Market((2, 1, 1), read_only, prios), Market((1, 1, 1), past_int16, [[0]] * 3),
+                   Market((), np.empty((0, 3), dtype=np.int64), ())]
+        markets += [Market((2, 1, 1), read_only.astype(dtype), prios)
+                    for dtype in (np.int16, np.int32, np.int64)]
+        path = tmp_path / "ragged.txt"
+        path.write_text("[schools]\n5,1\n7,2\n9,1\n[students]\n1,9;5\n2,\n3,7\n"
+                        "[priorities]\n5,3;1\n9,2\n")
+        generated = generate_uniform_market(6, 2)
+        nobody = Allocation([UNASSIGNED] * 6)
+        markets += [load_market(path), generated,
+                    apply_manipulation(generated, nobody, "drop_first", 1.0, 3)]
+        markets += [copied for m in markets
+                    for copied in (pickle.loads(pickle.dumps(m)), copy.deepcopy(m))]
+        for m in markets:
+            for lists, lengths in ((m.pref_array, m.list_lengths),
+                                   (m.priority_array, m.priority_lengths)):
+                assert not lists.flags.writeable and not lengths.flags.writeable
+                assert lists.shape == (len(lengths), lengths.max(initial=0))
+                assert lists.dtype == _list_type(lists)
+        assert markets[3] == Market((), (), ())
 
     def test_pickle_carries_the_stored_arrays(self):
         # a pickle or deep copy ships the stored arrays as they are, not
@@ -706,7 +752,8 @@ class TestArrayStorage:
         (dict(capacities=(1, float("nan"))), "school 1: capacity nan does not convert exactly"),
         (dict(capacities=(1, 1), student_ids=(3.9,)), "student 0: id 3.9 does not convert"),
         (dict(capacities=(1, 1), school_ids=(2, float("inf"))), "school 1: id inf does not"),
-    ], ids=["fractional_capacity", "nan_capacity", "fractional_id", "inf_id"])
+        (dict(capacities=(1, None)), "school 1: capacity None does not convert exactly"),
+    ], ids=["fractional_capacity", "nan_capacity", "fractional_id", "inf_id", "none_capacity"])
     def test_capacities_and_ids_must_be_exact(self, fields, message):
         # a fraction is refused, not truncated into a valid count or id
         with pytest.raises(ValueError, match=message):

@@ -70,6 +70,11 @@ class TestRankStats:
         assert stats.mean == pytest.approx(7 / 3)
         assert stats.max == 3
         assert stats.histogram == {2: 2, 3: 1}
+        # envy_share is a Python float like the other fields, with envy
+        # (TTC envies once here) and without (DA)
+        ttc_stats = rank_stats(m, top_trading_cycles(m))
+        assert ttc_stats.envy_share == 1 / 3 and stats.envy_share == 0.0
+        assert type(ttc_stats.envy_share) is type(stats.envy_share) is float
 
     def test_partial_lists_mean_over_assigned_only(self):
         # student 0 ranks one school and stays unassigned (effective rank 2)

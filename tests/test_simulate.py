@@ -290,6 +290,26 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match=r"repeated mechanisms \['DA'\]"):
             ExperimentConfig(n=5, replications=1, master_seed=0, mechanisms=("DA", "RM", "DA"))
 
+    @pytest.mark.parametrize("field, value", [
+        ("n", 3.5), ("replications", 2.5), ("master_seed", 1.5),
+        ("n", "3"), ("replications", None), ("master_seed", math.inf), ("n", math.nan),
+    ])
+    def test_non_integral_counts_and_seed_refused(self, field, value):
+        # each used to fail only once the run started, and not as ValueError
+        fields = {"n": 3, "replications": 2, "master_seed": 1} | {field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+            ExperimentConfig(**fields)
+
+    def test_integral_counts_and_seed_stored_as_int(self):
+        base = ExperimentConfig(n=3, replications=2, master_seed=1, mechanisms=("DA", "RSD"))
+        for fields in ({"n": 3.0}, {"replications": np.int64(2)}, {"master_seed": 1.0},
+                       {"n": np.float64(3), "replications": 2.0, "master_seed": np.uint64(1)}):
+            config = ExperimentConfig(**{"n": 3, "replications": 2, "master_seed": 1} | fields,
+                                      mechanisms=("DA", "RSD"))
+            assert config == base
+            assert {type(v) for v in (config.n, config.replications, config.master_seed)} == {int}
+            assert run_experiment(config).to_csv() == run_experiment(base).to_csv()
+
     def test_nan_threshold_refused_infinite_kept(self):
         # a NaN cutoff would write a row with threshold nan and share 0
         with pytest.raises(ValueError, match="got nan"):

@@ -20,7 +20,7 @@ from schoolmatch.theory import (
     ttc_expected_avg_rank,
 )
 
-from oracles import rsd_no_envy_closed_form, rsd_rank_probability_by_counting
+from oracles import peak_of, rsd_no_envy_closed_form, rsd_rank_probability_by_counting
 
 
 class TestExpectedEnvyShare:
@@ -200,6 +200,10 @@ class TestTtcExpectedAvgRank:
     def test_grows_like_log(self):
         n = 100_000
         assert abs(ttc_expected_avg_rank(n) / math.log(n) - 1.0) < 0.05
+
+    def test_bounded_memory(self):
+        # two n-element float64 arrays would trace 32 MB at this n
+        assert peak_of(ttc_expected_avg_rank, 2_000_000) < 2 * 2**20
 
 
 class TestReferenceCurves:
