@@ -113,7 +113,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     for i, mech in enumerate(args.mechanisms):
         allocation = run_mechanism(mech, market, derive_seed(args.seed, i))
         ranks = effective_ranks(market, allocation).tolist()
-        for t, (s, rank) in enumerate(zip(allocation.assignment, ranks)):
+        for t, (s, rank) in enumerate(zip(allocation.assignment.tolist(), ranks)):
             school = "" if s == UNASSIGNED else str(market.school_ids[s])
             writer.writerow([mech, str(market.student_ids[t]), school, str(rank)])
     _emit(out.getvalue(), args.out)

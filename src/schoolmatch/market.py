@@ -9,12 +9,12 @@ A market stores its lists only as read-only arrays padded with -1 and
 as wide as the longest list, which mechanisms and metrics read directly
 and through ``rank_table`` and ``priority_table``, and which copies and
 pickles carry as they are.
-An allocation stores one read-only int64 array; its tuple view is built
-only when first read.  Each list array and table is int16 when every
-value it holds fits, else int32, so the lists and tables of an
-n-student uniform market take 8 n^2 bytes up to n = 32 765.  A list or
-assignment entry, capacity or id that does not convert exactly (a
-fraction, or an id the narrower type would wrap) raises ValueError.
+An allocation is one read-only int64 array.  Each list array and
+table is int16 when every value it holds fits, else int32, so the lists
+and tables of an n-student uniform market take 8 n^2 bytes up to
+n = 32 765.  A list or assignment entry, capacity or id that does not
+convert exactly (a fraction, or an id the narrower type would wrap)
+raises ValueError.
 
 Each list is screened once per market, and its screen is both its
 lookup table and its problems: the lookups raise the first problem and
@@ -338,41 +338,36 @@ class Market:
 class Allocation:
     """Per-student school index, or UNASSIGNED.
 
-    Any sequence or array is stored as ``assignment_array``, a read-only
-    int64 copy; an entry that is not an exact int64 raises ValueError.
-    ``assignment``, the tuple view through which allocations compare and
-    hash, is built on first access."""
+    Any sequence or array is stored as ``assignment``, a read-only int64
+    copy through which allocations compare and hash; an entry that is
+    not an exact int64 raises ValueError."""
 
-    assignment_array: np.ndarray
+    assignment: np.ndarray
 
     def __init__(self, assignment) -> None:
         array = _exact(np.asarray(assignment), np.int64, "student", "school", lambda t: t)
         array.setflags(write=False)
-        object.__setattr__(self, "assignment_array", array)
+        object.__setattr__(self, "assignment", array)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Allocation) and self.assignment == other.assignment
+        return isinstance(other, Allocation) and np.array_equal(self.assignment, other.assignment)
 
     def __hash__(self) -> int:
-        return hash(self.assignment)
+        return hash(self.assignment.tobytes())
 
     def __reduce__(self):
         return Allocation, (self.assignment,)  # copies and unpickled ones are read-only too
 
-    @cached_property
-    def assignment(self) -> tuple[int, ...]:
-        return tuple(self.assignment_array.tolist())
-
     @property
     def n_students(self) -> int:
-        return len(self.assignment_array)
+        return len(self.assignment)
 
 
 def effective_ranks(market: Market, allocation: Allocation) -> np.ndarray:
     """(n,) effective rank per student: realized rank, or k+1 if unassigned.
     A wrong size or a school id outside 0..m-1 other than UNASSIGNED raises
     ValueError in ``validate_allocation``'s words; other flaws are scored."""
-    a = allocation.assignment_array
+    a = allocation.assignment
     if allocation.n_students != market.n_students:
         raise ValueError(f"allocation covers {allocation.n_students} students, "
                          f"market has {market.n_students}")
@@ -408,7 +403,7 @@ def validate_allocation(market: Market, allocation: Allocation) -> list[str]:
     if allocation.n_students != market.n_students:
         return [f"allocation covers {allocation.n_students} students, "
                 f"market has {market.n_students}"]
-    a = allocation.assignment_array
+    a = allocation.assignment
     m = market.n_schools
     known = (a >= 0) & (a < m)
     seated = np.flatnonzero(known)

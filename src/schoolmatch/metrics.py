@@ -45,7 +45,7 @@ class RankStats:
 def rank_stats(market: Market, allocation: Allocation) -> RankStats:
     """Compute the RankStats of ``allocation`` under ``market``."""
     eff = effective_ranks(market, allocation)
-    a = allocation.assignment_array
+    a = allocation.assignment
     assigned = eff[a >= 0]
     values, counts = np.unique(eff, return_counts=True)
     histogram = {int(r): int(c) for r, c in zip(values, counts)}
@@ -72,7 +72,7 @@ def justified_envy(market: Market, allocation: Allocation) -> set[int]:
     seat and ranks t.  Students a school does not rank can never have
     justified envy toward it.
     """
-    envious = _envious(market, allocation.assignment_array, effective_ranks(market, allocation))
+    envious = _envious(market, allocation.assignment, effective_ranks(market, allocation))
     return set(np.flatnonzero(envious).tolist())
 
 
@@ -134,7 +134,7 @@ def is_pareto_optimal(market: Market, allocation: Allocation) -> ParetoCheck:
     """
     if problems := validate_allocation(market, allocation):
         raise ValueError(problems[0])
-    a = allocation.assignment_array
+    a = allocation.assignment
     eff = effective_ranks(market, allocation)
     students, schools = _preferred(market, eff)
     left = np.array(market.capacities)  # per school, the seats no picked student holds

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -79,6 +80,15 @@ class ExperimentError(RuntimeError):
 _DRAW_ROWS = 64
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an int; one ``_exact_int`` refuses raises ValueError
+    naming ``name``."""
+    exact = _exact_int(value)
+    if exact is None:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return exact
+
+
 def generate_uniform_market(n: int, seed: int) -> Market:
     """A market of n students and n unit-capacity schools where every
     preference and priority list is an independent uniform permutation
@@ -91,7 +101,9 @@ def generate_uniform_market(n: int, seed: int) -> Market:
     small reused buffer and copied in.  The lists are int16 up to
     n = 32 768, else int32, the type ``Market`` stores them in, and
     the array is made read-only, so the market stores both halves
-    without a copy."""
+    without a copy.  An n that int() does not convert exactly, such as
+    3.5, raises ValueError; 3.0 or np.int64(3) draws the n = 3 market."""
+    n = _integer("n", n)
     if n < 1:
         raise ValueError("n must be at least 1")
     rng = np.random.default_rng(seed)
@@ -122,8 +134,8 @@ class Manipulation:
             raise ValueError(
                 f"unknown manipulation kind {self.kind!r}; choose from {MANIPULATION_KINDS}"
             )
-        if not 0.0 <= self.share <= 1.0:
-            raise ValueError(f"share must lie in [0, 1], got {self.share}")
+        if not isinstance(self.share, numbers.Real) or not 0.0 <= self.share <= 1.0:
+            raise ValueError(f"share must lie in [0, 1], got {self.share!r}")
 
     @property
     def label(self) -> str:
@@ -146,7 +158,7 @@ def apply_manipulation(
     uniformly from the eligible; everyone else's list is untouched.
     """
     manipulation = Manipulation(kind, share)  # validates kind and share
-    a = baseline.assignment_array
+    a = baseline.assignment
     ranks = effective_ranks(market, baseline)
     eligible = np.nonzero((a < 0) | (ranks > (1 if kind == "drop_assigned" else 2)))[0]
     count = int(math.floor(manipulation.share * len(eligible) + 0.5))
@@ -204,10 +216,7 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         for name in ("n", "replications", "master_seed"):
-            exact = _exact_int(getattr(self, name))
-            if exact is None:
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-            object.__setattr__(self, name, exact)
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         object.__setattr__(self, "mechanisms", tuple(self.mechanisms))
         if self.thresholds is not None:
             object.__setattr__(self, "thresholds", tuple(float(m) for m in self.thresholds))

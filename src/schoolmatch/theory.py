@@ -103,17 +103,11 @@ def rm_rank_pmf(i: int) -> float:
     return 2.0 ** (-i)
 
 
-def rm_envy_limit(terms: int | None = None) -> float:
+def rm_envy_limit() -> float:
     """Limit fraction of students with justified envy under rank
     minimization: ``expected_envy_share`` of the rank pmf 2^-i, which
-    is 1 - sum over i of 2^(1-2i) = 1/3.  With ``terms`` set, the pmf
-    stops at i = ``terms``: 0.5 after one term, decreasing toward 1/3.
-    """
-    if terms is None:
-        return 1.0 / 3.0
-    if terms < 0:
-        raise ValueError("terms must be nonnegative")
-    return expected_envy_share(rm_rank_pmf(i) for i in range(1, terms + 1))
+    is 1 - sum over i of 2^(1-2i) = 1/3."""
+    return 1.0 / 3.0
 
 
 def ttc_expected_avg_rank(n: int) -> float:

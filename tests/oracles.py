@@ -55,7 +55,7 @@ def all_full_allocations(market: Market):
 def ranks_by_definition(market: Market, allocation: Allocation) -> list[int]:
     prefs, _ = lists_of(market)
     out = []
-    for t, s in enumerate(allocation.assignment):
+    for t, s in enumerate(allocation.assignment.tolist()):
         if s == -1:
             out.append(len(prefs[t]) + 1)
         else:
@@ -76,7 +76,7 @@ def pareto_optimal_by_enumeration(market: Market, allocation: Allocation) -> boo
     none and is no worse off than under ``allocation`` (only those can
     dominate it), keeping those that ``validate_allocation`` accepts."""
     lists = [(*prefs, UNASSIGNED) for prefs in lists_of(market)[0]]
-    options = [row[:row.index(s) + 1] for row, s in zip(lists, allocation.assignment)]
+    options = [row[:row.index(s) + 1] for row, s in zip(lists, allocation.assignment.tolist())]
     candidates = (Allocation(choice) for choice in itertools.product(*options))
     return not any(dominates(market, x, allocation)
                    for x in candidates if not validate_allocation(market, x))
@@ -91,7 +91,7 @@ def pareto_optimal_by_cycle_search(market: Market, allocation: Allocation) -> bo
         raise ValueError("requires full lists")
     if market.total_seats != market.n_students:
         raise ValueError("requires a balanced market")
-    a = allocation.assignment_array
+    a = allocation.assignment
     if (a < 0).any():
         raise ValueError("requires a fully assigned allocation")
     n = market.n_students
@@ -126,7 +126,7 @@ def envious_by_definition(market: Market, allocation: Allocation) -> set[int]:
     the school does not rank stands below every student it ranks."""
     out = set()
     prefs, priorities = lists_of(market)
-    assignment = allocation.assignment
+    assignment = allocation.assignment.tolist()
     for t in range(market.n_students):
         own = assignment[t]
         own_rank = prefs[t].index(own) if own >= 0 else len(prefs[t])
@@ -408,7 +408,7 @@ def validate_allocation_by_loops(market: Market, allocation: Allocation) -> list
         return problems
     filled = [0] * market.n_schools
     prefs, _ = lists_of(market)
-    for t, s in enumerate(allocation.assignment):
+    for t, s in enumerate(allocation.assignment.tolist()):
         if s == UNASSIGNED:
             continue
         if not 0 <= s < market.n_schools:
@@ -431,8 +431,9 @@ def manipulated_prefs_by_tuples(market: Market, baseline: Allocation, kind: str,
     its tuple-based version did: a scan of the lists for eligibility, the
     same draw over the eligible in ascending order, and tuple rewrites."""
     prefs, _ = lists_of(market)
+    assignment = baseline.assignment.tolist()
     eligible = []
-    for t, s in enumerate(baseline.assignment):
+    for t, s in enumerate(assignment):
         plist = prefs[t]
         realized = plist.index(s) + 1 if s >= 0 else len(plist) + 1
         if not (s >= 0 and realized <= (1 if kind == "drop_assigned" else 2)):
@@ -447,7 +448,7 @@ def manipulated_prefs_by_tuples(market: Market, baseline: Allocation, kind: str,
         t = eligible[idx]
         plist = prefs[t]
         if kind == "drop_assigned":
-            s = baseline.assignment[t]
+            s = assignment[t]
             if s >= 0:
                 new_prefs[t] = tuple(x for x in plist if x != s) + (s,)
         else:
@@ -612,7 +613,7 @@ def reference_rank_minimizing(market: Market, seed: int) -> Allocation:
     result = reference_min_cost_assignment(cost)
     assignment = np.empty(market.n_students, dtype=np.int64)
     assignment[row_perm] = schools[list(result.col_of_row)]
-    return Allocation(tuple(assignment.tolist()))
+    return Allocation(assignment)
 
 
 def improving_cycle_exists(market: Market, allocation: Allocation) -> bool:
@@ -629,7 +630,7 @@ def improving_cycle_exists(market: Market, allocation: Allocation) -> bool:
     m, k = market.n_schools, market.list_lengths
     prefs = market.pref_array
     listed = np.arange(prefs.shape[1]) < k[:, None]
-    held = allocation.assignment_array
+    held = allocation.assignment
     rank = (listed & (prefs == held[:, None])) @ np.arange(1, prefs.shape[1] + 1)
     now = np.where(rank > 0, rank, k + 1)  # k + 1 when unassigned
     node = np.where(held == UNASSIGNED, m, held)

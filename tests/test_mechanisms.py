@@ -47,10 +47,10 @@ class TestDeferredAcceptance:
         # both want s0; s0 prioritizes student 1
         m = Market(capacities=(1, 1), prefs=((0, 1), (0, 1)), priorities=((1, 0), (0, 1)))
         alloc = deferred_acceptance(m)
-        assert alloc.assignment == (1, 0)
+        assert alloc == Allocation((1, 0))
         assert ranks_by_definition(m, alloc) == [2, 1]
         stables = stable_matchings(m)
-        assert len(stables) == 1 and stables[0].assignment == alloc.assignment
+        assert len(stables) == 1 and stables[0] == alloc
 
     def test_disjoint_tops_all_first_choice(self):
         m = Market(
@@ -72,7 +72,7 @@ class TestDeferredAcceptance:
             m = generate_uniform_market(n, int(rng.integers(0, 2**32)))
             alloc = deferred_acceptance(m)
             stables = stable_matchings(m)
-            assert any(alloc.assignment == s.assignment for s in stables)
+            assert alloc in stables
             ranks = ranks_by_definition(m, alloc)
             for t in range(n):
                 assert ranks[t] == min(ranks_by_definition(m, s)[t] for s in stables)
@@ -81,13 +81,13 @@ class TestDeferredAcceptance:
         # both students only rank s0, capacity 1
         m = Market(capacities=(1, 1), prefs=((0,), (0,)), priorities=((1, 0), (0, 1)))
         alloc = deferred_acceptance(m)
-        assert alloc.assignment == (UNASSIGNED, 0)
+        assert alloc == Allocation((UNASSIGNED, 0))
 
     def test_unranked_applicant_rejected_outright(self):
         # s0 does not rank student 0 at all
         m = Market(capacities=(1, 1), prefs=((0, 1), (0, 1)), priorities=((1,), (0, 1)))
         alloc = deferred_acceptance(m)
-        assert alloc.assignment == (1, 0)
+        assert alloc == Allocation((1, 0))
 
     def test_capacity_two_waiting_list(self):
         m = Market(
@@ -96,7 +96,7 @@ class TestDeferredAcceptance:
             priorities=((2, 0, 1), (1, 0, 2)),
         )
         alloc = deferred_acceptance(m)
-        assert alloc.assignment == (0, 1, 0)
+        assert alloc == Allocation((0, 1, 0))
 
     def test_matches_textbook_da_on_acceptance_markets(self):
         # the first 200 markets of the n=100 acceptance table, whose DA
@@ -126,12 +126,12 @@ class TestTopTradingCycles:
     def test_three_by_three_dominates_da(self):
         m = market_3x3()
         alloc = top_trading_cycles(m)
-        assert alloc.assignment == (1, 0, 2)
+        assert alloc == Allocation((1, 0, 2))
         assert ranks_by_definition(m, alloc) == [1, 1, 3]
 
     def test_one_by_one(self):
         m = Market(capacities=(1,), prefs=((0,),), priorities=((0,),))
-        assert top_trading_cycles(m).assignment == (0,)
+        assert top_trading_cycles(m) == Allocation((0,))
 
     def test_capacity_counters(self):
         # one school with two seats pointed at by two students in turn
@@ -141,18 +141,18 @@ class TestTopTradingCycles:
             priorities=((0, 1, 2), (2, 0, 1)),
         )
         alloc = top_trading_cycles(m)
-        assert alloc.assignment == (0, 0, 1)
+        assert alloc == Allocation((0, 0, 1))
 
     def test_partial_lists_exhausted_student_unassigned(self):
         m = Market(capacities=(1, 1), prefs=((0,), (0,)), priorities=((0, 1), (1, 0)))
         alloc = top_trading_cycles(m)
-        assert alloc.assignment == (0, UNASSIGNED)
+        assert alloc == Allocation((0, UNASSIGNED))
 
     def test_never_assigns_unranked_student(self):
         # school 0 ranks nobody: nobody can trade into it
         m = Market(capacities=(1, 1), prefs=((0, 1), (0, 1)), priorities=((), (0, 1)))
         alloc = top_trading_cycles(m)
-        assert alloc.assignment == (1, UNASSIGNED)
+        assert alloc == Allocation((1, UNASSIGNED))
 
     def test_full_market_perfect_matching(self):
         rng = np.random.default_rng(22)
@@ -166,7 +166,7 @@ class TestTopTradingCycles:
 class TestSerialDictatorship:
     def test_single_student(self):
         m = Market(capacities=(1,), prefs=((0,),), priorities=((0,),))
-        assert random_serial_dictatorship(m, 123).assignment == (0,)
+        assert random_serial_dictatorship(m, 123) == Allocation((0,))
 
     def test_identical_lists_give_rank_k_to_dictator_k(self):
         n = 6
@@ -184,7 +184,7 @@ class TestSerialDictatorship:
     def test_exhausted_list_unassigned(self):
         m = Market(capacities=(1, 1), prefs=((0,), (0,)), priorities=((0, 1), (0, 1)))
         alloc = serial_dictatorship(m, [0, 1])
-        assert alloc.assignment == (0, UNASSIGNED)
+        assert alloc == Allocation((0, UNASSIGNED))
 
     def test_order_must_be_permutation(self):
         m = generate_uniform_market(3, 0)
@@ -200,14 +200,8 @@ class TestSerialDictatorship:
 
     def test_seed_determinism(self):
         m = generate_uniform_market(20, 77)
-        assert (
-            random_serial_dictatorship(m, 5).assignment
-            == random_serial_dictatorship(m, 5).assignment
-        )
-        assert (
-            random_serial_dictatorship(m, 5).assignment
-            != random_serial_dictatorship(m, 6).assignment
-        )
+        assert random_serial_dictatorship(m, 5) == random_serial_dictatorship(m, 5)
+        assert random_serial_dictatorship(m, 5) != random_serial_dictatorship(m, 6)
 
 
 class TestRankMinimizing:
@@ -258,7 +252,7 @@ class TestRankMinimizing:
             priorities=((2, 1, 0), (0, 2, 1), (1, 0, 2)),
         )
         for seed in range(10):
-            assert rank_minimizing(m1, seed).assignment == rank_minimizing(m2, seed).assignment
+            assert rank_minimizing(m1, seed) == rank_minimizing(m2, seed)
 
 
 class TestRankMinimizingMemo:
@@ -358,18 +352,18 @@ class TestCrossMechanismProperties:
         for name in ("DA", "TTC", "RSD", "RM"):
             a = run_mechanism(name, m, 99)
             b = run_mechanism(name, m, 99)
-            assert a.assignment == b.assignment
+            assert a == b
 
     def test_zero_seat_school_rejects_its_applicants(self):
         m = Market(capacities=(0, 2), prefs=((0, 1), (0, 1)), priorities=((0, 1), (0, 1)))
         for name in ("DA", "TTC", "RSD", "RM"):
-            assert run_mechanism(name, m, 3).assignment == (1, 1), name
+            assert run_mechanism(name, m, 3) == Allocation((1, 1)), name
         # a market with no students seats nobody, but its capacities are
         # still screened
         empty = Market(capacities=(1,), prefs=(), priorities=((),))
         negative = Market(capacities=(-1,), prefs=(), priorities=((),))
         for name in ("DA", "TTC", "RSD", "RM"):
-            assert run_mechanism(name, empty, 3).assignment == (), name
+            assert run_mechanism(name, empty, 3) == Allocation(()), name
             with pytest.raises(ValueError, match="school 0: negative capacity -1"):
                 run_mechanism(name, negative, 3)
 

@@ -132,7 +132,7 @@ class TestJustifiedEnvy:
             caps, prefs, prios = random_market_lists(rng)
             m = Market(capacities=caps, prefs=prefs, priorities=prios)
             alloc = random_feasible_allocation(rng, caps, prefs)
-            assignment = list(alloc.assignment)
+            assignment = alloc.assignment.tolist()
             expected = envious_by_definition(m, alloc)
             assert justified_envy(m, alloc) == expected
             envious += bool(expected)
@@ -307,7 +307,7 @@ class TestParetoCheck:
             for _ in range(4):
                 m = generate_uniform_market(n, int(rng.integers(0, 2**32)))
                 seed = int(rng.integers(0, 2**32))
-                ttc = top_trading_cycles(m).assignment_array
+                ttc = top_trading_cycles(m).assignment
                 pair = rng.choice(n, size=2, replace=False)
                 swapped = ttc.copy()
                 swapped[pair] = ttc[pair[::-1]]  # an optimal allocation, two seats exchanged

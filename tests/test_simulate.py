@@ -85,6 +85,20 @@ class TestGenerateUniformMarket:
         with pytest.raises(ValueError):
             generate_uniform_market(0, 1)
 
+    @pytest.mark.parametrize("n", [3.5, "3", None, math.nan, math.inf])
+    def test_non_integral_n_refused(self, n):
+        with pytest.raises(ValueError, match="^n must be an integer, got "):
+            generate_uniform_market(n, 1)
+
+    def test_integral_n_draws_the_int_market(self):
+        # the rule ExperimentConfig applies to its n
+        expected = generate_uniform_market(3, 1)
+        for n in (3.0, np.int64(3), np.float64(3)):
+            m = generate_uniform_market(n, 1)
+            assert m == expected and m.n_students == 3
+            assert np.array_equal(m.pref_array, expected.pref_array)
+            assert m.pref_array.dtype == expected.pref_array.dtype
+
     # 2n below, on and just past the draw's block of rows, then many blocks
     @pytest.mark.parametrize("n", [1, 2, 7, _DRAW_ROWS // 2 - 1, _DRAW_ROWS // 2,
                                    _DRAW_ROWS // 2 + 1, 200])
@@ -134,6 +148,11 @@ class TestApplyManipulation:
             apply_manipulation(m, baseline, "drop_assigned", 1.5, 0)
         with pytest.raises(ValueError):
             apply_manipulation(m, baseline, "nonsense", 0.5, 0)
+
+    @pytest.mark.parametrize("share", ["0.5", None, math.nan, 1.5, -0.1])
+    def test_share_that_is_not_a_number_in_range_refused(self, share):
+        with pytest.raises(ValueError, match=r"^share must lie in \[0, 1\], got "):
+            Manipulation("drop_first", share)
 
     def test_eligibility_rules(self):
         m = self.market()
@@ -453,5 +472,5 @@ class TestPartialListPipeline:
                 from schoolmatch.market import effective_ranks
 
                 eff = effective_ranks(m, alloc)
-                manual = eff[alloc.assignment_array >= 0].mean()
+                manual = eff[alloc.assignment >= 0].mean()
                 assert stats.mean == pytest.approx(manual)

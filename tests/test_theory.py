@@ -172,17 +172,20 @@ class TestRmEnvyLimit:
     def test_exact_third(self):
         assert rm_envy_limit() == 1 / 3
 
+    @staticmethod
+    def truncated(terms):
+        """The envy share of the rank pmf stopped at i = ``terms``."""
+        return expected_envy_share(rm_rank_pmf(i) for i in range(1, terms + 1))
+
     def test_partial_sums(self):
-        assert rm_envy_limit(terms=1) == 0.5
-        assert abs(rm_envy_limit(terms=10) - 1 / 3) < 1e-5
+        assert self.truncated(1) == 0.5
+        assert abs(self.truncated(10) - 1 / 3) < 1e-5
 
     def test_identity_on_the_rank_pmf(self):
-        assert rm_envy_limit(terms=0) == 1.0
+        assert self.truncated(0) == 1.0
         for terms in (2, 5, 30):
-            pmf = [rm_rank_pmf(i) for i in range(1, terms + 1)]
-            assert rm_envy_limit(terms) == expected_envy_share(pmf)
-            assert rm_envy_limit(terms) == pytest.approx((1 + 2 * 4.0**-terms) / 3, rel=1e-15)
-        assert rm_envy_limit(terms=600) == pytest.approx(rm_envy_limit(), rel=1e-15)
+            assert self.truncated(terms) == pytest.approx((1 + 2 * 4.0**-terms) / 3, rel=1e-15)
+        assert self.truncated(600) == pytest.approx(rm_envy_limit(), rel=1e-15)
 
 
 class TestTtcExpectedAvgRank:
