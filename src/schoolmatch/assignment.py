@@ -36,10 +36,10 @@ gather.
 
 Costs are nonnegative reals; ``inf`` marks a forbidden pairing (an
 unranked school, when costs are preference ranks).  NaN and negative
-entries, ``-inf`` included, are refused.  Integer costs are exact: every
-intermediate quantity is an integer-valued float, and float64 holds
-integers exactly up to 2**53, far beyond any rank sum a realistic
-market can produce.
+entries, ``-inf`` included, are refused.  A float32 matrix is read in
+place, any other as a float64 copy; every read is widened to float64, so
+the arithmetic is the same.  Integer costs are exact: every intermediate
+is an integer-valued float64, exact to 2**53, far beyond any rank sum.
 """
 
 from __future__ import annotations
@@ -89,9 +89,11 @@ def min_cost_assignment(cost, columns=None) -> AssignmentResult:
 
     Raises ValueError for a matrix that is not 2-D and non-empty, has
     more rows than columns, or holds NaN or a negative entry, and
-    InfeasibleAssignmentError when no matching has finite cost.
+    InfeasibleAssignmentError when no matching has finite cost.  A
+    float32 ``cost`` is read in place and widened to float64 per read.
     """
-    c = np.asarray(cost, dtype=np.float64, order="C")  # rows are gathered below
+    c = np.asarray(cost, order="C")  # rows are gathered below
+    c = c if c.dtype == np.float32 else c.astype(np.float64, copy=False)
     if c.ndim != 2:
         raise ValueError(f"cost matrix must be 2-D and non-empty, got shape {c.shape}")
     index = np.arange(c.shape[1]) if columns is None else np.asarray(columns)
@@ -140,7 +142,7 @@ def min_cost_assignment(cost, columns=None) -> AssignmentResult:
 
     for cur_row in range(n_rows):
         # Dijkstra from cur_row over classes in the reduced-cost graph.
-        shortest = c[cur_row] - v
+        shortest = c[cur_row] - v  # float64, as v is (a Python float would keep float32)
         layers = []  # (classes, distance, rows reached, their duals) per layer
         reached = []  # the distances each layer reached, for tracing the path back
         while True:
@@ -159,7 +161,7 @@ def min_cost_assignment(cost, columns=None) -> AssignmentResult:
                 break
             # Scan the whole tie layer, every (matched) copy of its classes:
             # reduced costs are nonnegative, so the order does not matter.
-            # In place, but in the order (c[rows] - v - u) + min_val.
+            # In place in float64 (float32 would round), in the order (c[rows] - v - u) + min_val.
             cols = nearest.nonzero()[0]
             pos = np.concatenate([copies[q] for q in cols.tolist()])  # all matched
             if len(pos) == 1:  # scalar indexing: the same operations, fewer calls
@@ -173,7 +175,7 @@ def min_cost_assignment(cost, columns=None) -> AssignmentResult:
                 u = held[pos] - v[cls[pos]]  # duals of the rows reached
                 reach = None
                 for i in range(0, rows.size, 64):
-                    block = c.take(rows[i : i + 64], axis=0)
+                    block = c.take(rows[i : i + 64], axis=0).astype(np.float64, copy=False)
                     block -= v
                     block -= u[i : i + 64, None]
                     least = block.min(axis=0)
@@ -199,7 +201,7 @@ def min_cost_assignment(cost, columns=None) -> AssignmentResult:
         scanned_by = len(layers)
         while True:
             k = cls[j]
-            layer, best = -1, c[cur_row, k] - v[k]
+            layer, best = -1, c.item(cur_row, k) - v[k]  # item() widens to a Python float
             for scan in range(scanned_by):
                 reach = reached[scan][k]
                 if reach < best:
@@ -211,13 +213,13 @@ def min_cost_assignment(cost, columns=None) -> AssignmentResult:
                 if isinstance(rows, int):  # a one-row layer
                     i = rows
                 else:  # the least reduced cost, first by column among ties
-                    d = c[rows, k] - v[k] - u
+                    d = c[rows, k].astype(np.float64) - v[k] - u  # numpy 1 keeps float32 on v[k]
                     if ordered:
                         i = int(rows[d.argmin()])
                     else:
                         ties = rows[d == d.min()]
                         i = int(ties[column[col_of_row[ties]].argmin()])
-            row_of[j], held[j] = i, c[i, k]
+            row_of[j], held[j] = i, c.item(i, k)
             col_of_row[i], j = j, col_of_row[i]
             if i == cur_row:
                 break

@@ -190,8 +190,8 @@ def _shuffled_rank_costs(market: Market, seed: int
     classes = list(dict.fromkeys((seats + 1).tolist()))
     column_of = np.empty(m + 1, dtype=np.intp)
     column_of[classes] = np.arange(len(classes))
-    table = np.empty((n, len(classes)))
-    buffer = np.empty((64, m + 1))  # column 0 holds k+1, column s+1 school s
+    table = np.empty((n, len(classes)), np.promote_types(ranks.dtype, np.float32))
+    buffer = np.empty((64, m + 1), table.dtype)  # column 0 holds k+1, column s+1 school s
     for i in range(0, n, 64):
         rows = row_perm[i : i + 64]
         block = buffer[: len(rows)]
@@ -232,10 +232,10 @@ def rank_minimizing(market: Market, seed: int) -> Allocation:
 
     The solver reads one column per seat class, not per seat: a school's
     seats, and the "stay unassigned" seats, share a column of costs.
-    That table is built 64 rows at a time from the integer
-    ``rank_table`` through a small buffer; no other copy is alive.
-    Inside ``_memoized_rm``, a repeated (market, seed) gets the
-    allocation its first call solved.
+    That table is float32 for an int16 ``rank_table``, exact for each cost,
+    and float64 for an int32 one; it is built 64 rows at a time through a
+    small buffer, and no other copy is alive.  Inside ``_memoized_rm``, a
+    repeated (market, seed) gets the allocation its first call solved.
     """
     memo = _RM_MEMO.get()
     if memo is not None:

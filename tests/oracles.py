@@ -205,6 +205,34 @@ def rsd_rank_probability_by_counting(k: int, j: int, n: int) -> Fraction:
     return Fraction(math.comb(n - j, k - j), math.comb(n, k - 1)) if j <= k else Fraction(0)
 
 
+def uniform_ttc_rank_shares(n: int) -> list[Fraction]:
+    """The expected share of students at rank j = 1..n under TTC on an
+    n-student market of iid uniform lists and priorities: TTC then has
+    RSD's law (Pathak & Sethuraman 2011), whose rank j holds
+    (n+1)/(j(j+1)) of the n students.  The shares sum to 1."""
+    return [Fraction(n + 1, n * j * (j + 1)) for j in range(1, n + 1)]
+
+
+def uniform_ttc_mean_rank(n: int) -> Fraction:
+    """TTC's expected mean rank, summed from ``uniform_ttc_rank_shares``:
+    Knuth's ((n+1)H_n - n)/n."""
+    return sum((j * share for j, share in enumerate(uniform_ttc_rank_shares(n), 1)), Fraction(0))
+
+
+def uniform_ttc_share_above(n: int, cutoff: float) -> Fraction:
+    """TTC's expected share of students with rank above ``cutoff``, summed
+    from ``uniform_ttc_rank_shares``: (n+1)/n (1/(floor(cutoff)+1) - 1/(n+1))."""
+    shares = uniform_ttc_rank_shares(n)
+    return sum((share for j, share in enumerate(shares, 1) if j > cutoff), Fraction(0))
+
+
+def harmonic_number(n: int) -> Fraction:
+    """H_n = 1 + 1/2 + ... + 1/n: DA proposes at most n H_n times in
+    expectation on iid uniform lists (Wilson 1972), so its expected mean
+    rank is at most H_n."""
+    return sum((Fraction(1, j) for j in range(1, n + 1)), Fraction(0))
+
+
 def min_cost_by_scan(cost) -> int | float:
     """Minimum assignment cost by raw permutation scan (no numpy tricks)."""
     c = np.asarray(cost, dtype=float)

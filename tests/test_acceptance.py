@@ -12,6 +12,7 @@ rest of the same tables agree closely).  See the failure messages.
 
 import math
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,7 @@ from schoolmatch.mechanisms import (
 from schoolmatch.metrics import justified_envy, rank_stats
 from schoolmatch.simulate import (
     ExperimentConfig,
+    _replicate,
     apply_manipulation,
     derive_seed,
     generate_uniform_market,
@@ -35,7 +37,13 @@ from schoolmatch.simulate import (
 )
 from schoolmatch.theory import rsd_no_envy_fraction, rsd_rank_probability
 
-from oracles import brute_force_assignment, pareto_optimal_by_enumeration
+from oracles import (
+    brute_force_assignment,
+    harmonic_number,
+    pareto_optimal_by_enumeration,
+    uniform_ttc_mean_rank,
+    uniform_ttc_share_above,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -197,6 +205,43 @@ def test_envy_limits_n500(table_n500):
             ),
         ],
     )
+
+
+def test_ttc_and_da_means_against_exact_laws(table_n100, table_n500):
+    # TTC has RSD's law on these markets (Pathak & Sethuraman), so its
+    # expected mean is Knuth's ((n+1)H_n - n)/n; DA's expected mean is at
+    # most H_n (Wilson 1972), a one-sided bound
+    checks = []
+    for (report, _), n in ((table_n100, 100), (table_n500, 500)):
+        ttc, da = report.summaries["TTC"], report.summaries["DA"]
+        knuth, h = float(uniform_ttc_mean_rank(n)), float(harmonic_number(n))
+        checks += [
+            (f"TTC mean within 4 se of Knuth's {knuth:.5f} at n={n}",
+             abs(ttc.mean - knuth) <= 4 * ttc.se_mean, f"{ttc.mean:.5f} (se {ttc.se_mean:.4f})"),
+            (f"DA mean - 4 se <= H_{n} = {h:.5f}",
+             da.mean - 4 * da.se_mean <= h, f"{da.mean:.5f} (se {da.se_mean:.4f})"),
+        ]
+    _criterion("TTC's exact mean and DA's bound at n=100 and n=500", checks)
+
+
+def test_ttc_threshold_shares_exact_n100(table_n100):
+    # the fixture's TTC rows again, one per replication from the same
+    # market seeds (the summary keeps no per-replication shares); each
+    # mean share lies within 4 se of (n+1)/n (1/(floor(m)+1) - 1/(n+1))
+    report, _ = table_n100
+    config = replace(report.config, mechanisms=("TTC",))
+    rows = np.array([_replicate(config, None, r)["TTC"] for r in range(config.replications)])
+    shares = rows[:, 5:]
+    means = shares.mean(axis=0)
+    se = shares.std(axis=0, ddof=1) / math.sqrt(len(shares))
+    checks = [("the same replications as the fixture",
+               tuple(float(x) for x in means) == report.summaries["TTC"].threshold_share,
+               f"{means.round(5).tolist()}")]
+    for m, mean, err in zip(config.thresholds, means, se):
+        exact = float(uniform_ttc_share_above(config.n, m))
+        checks.append((f"TTC >{m:.3g}: within 4 se of {exact:.5f}",
+                       abs(mean - exact) <= 4 * err, f"{mean:.5f} (se {err:.5f})"))
+    _criterion("TTC threshold shares n=100 against the exact law", checks)
 
 
 def test_rsd_theory_oracles():

@@ -168,7 +168,9 @@ def assert_same_shuffled_costs(market, seed):
     class, in the order the classes first appear among the seats."""
     table, columns, seats, row_perm = _shuffled_rank_costs(market, seed)
     expected, schools, expected_perm = reference_shuffled_cost_matrix(market, seed)
-    assert table.dtype == np.float64 and table.flags.c_contiguous
+    # float32 holds every cost of an int16 rank table exactly
+    assert market.rank_table.dtype == np.int16
+    assert table.dtype == np.float32 and table.flags.c_contiguous
     assert np.array_equal(row_perm, expected_perm)
     assert np.array_equal(seats, schools)
     assert np.array_equal(table[:, columns], expected)
@@ -211,6 +213,44 @@ def test_shuffled_rank_matrices_whole_input_space():
         assert_same_shuffled_costs(Market(capacities=caps, prefs=prefs, priorities=prios), seed)
         caps[int(rng.integers(0, len(caps)))] = 0
         assert_same_shuffled_costs(Market(capacities=caps, prefs=prefs, priorities=prios), seed)
+
+
+def test_float32_table_solved_as_its_float64_copy():
+    # a float32 table is read in place and every read widened to float64,
+    # so the solver picks the matching, total and refusal that the
+    # reference picks on the table's float64 copy: on RM's tables, and
+    # on tie-heavy fractions that float32 has rounded, where arithmetic
+    # rounded to float32 (a 64-row block subtracted in place) would
+    # break or make ties and pick other optima
+    rng = np.random.default_rng(80)
+    for _ in range(200):
+        caps, prefs, prios = random_market_lists(rng, max_students=40, max_schools=10)
+        market = Market(capacities=caps, prefs=prefs, priorities=prios)
+        table, columns, _, _ = _shuffled_rank_costs(market, int(rng.integers(0, 2**32)))
+        assert table.dtype == np.float32
+        check_same_result(table, columns)
+    for _ in range(300):
+        nr = int(rng.integers(1, 40))
+        nc = nr + int(rng.integers(0, 10))
+        cost = (rng.integers(0, 12, size=(nr, nc)) / rng.choice([3.0, 7.0, 10.0])).astype(np.float32)
+        cost[rng.random((nr, nc)) < 0.2] = np.inf
+        check_same_result(cost)
+
+
+def test_int32_rank_table_gets_a_float64_table():
+    # 32,770 schools put the unranked sentinel m + 2 past int16, so the
+    # rank table is int32; an int32 table's ranks and k + 1 can pass
+    # 2**24, where float32 rounds, so RM's table is float64 there
+    m = 32_770
+    rng = np.random.default_rng(82)
+    prefs = [rng.choice(m, size=3, replace=False).tolist() for _ in range(2)]
+    prefs[1][0] = prefs[0][0]  # both students want one school first
+    market = Market(capacities=[1] * m, prefs=prefs, priorities=[[]] * m)
+    assert market.rank_table.dtype == np.int32
+    for seed in (83, 84, 85):
+        table, _, _, _ = _shuffled_rank_costs(market, seed)
+        assert table.dtype == np.float64 and table.shape == (2, m + 1)
+        assert rank_minimizing(market, seed) == reference_rank_minimizing(market, seed)
 
 
 def test_rank_minimizing_same_allocation():

@@ -20,7 +20,15 @@ from schoolmatch.theory import (
     ttc_expected_avg_rank,
 )
 
-from oracles import peak_of, rsd_no_envy_closed_form, rsd_rank_probability_by_counting
+from oracles import (
+    harmonic_number,
+    peak_of,
+    rsd_no_envy_closed_form,
+    rsd_rank_probability_by_counting,
+    uniform_ttc_mean_rank,
+    uniform_ttc_rank_shares,
+    uniform_ttc_share_above,
+)
 
 
 class TestExpectedEnvyShare:
@@ -105,6 +113,20 @@ class TestRsdRankProbability:
             for j in range(1, n + 1):
                 total = sum(rsd_rank_probability(k, j, n) for k in range(j, n + 1))
                 assert total == pytest.approx((n + 1) / (j * (j + 1)), rel=1e-13)
+
+    def test_uniform_ttc_oracles_agree_with_counting(self):
+        # the acceptance suite's exact TTC law: each rank share is the
+        # counted probability averaged over the n dictators, the shares
+        # sum to 1, the mean is Knuth's and the tails telescope
+        for n in (1, 2, 5, 12):
+            shares = uniform_ttc_rank_shares(n)
+            assert shares == [sum(rsd_rank_probability_by_counting(k, j, n)
+                                  for k in range(1, n + 1)) / n for j in range(1, n + 1)]
+            assert sum(shares) == 1
+            assert uniform_ttc_mean_rank(n) == ((n + 1) * harmonic_number(n) - n) / n
+            for cutoff in (0, n / 3, n - 1, n):  # the law holds for 0 <= cutoff <= n
+                assert uniform_ttc_share_above(n, cutoff) == Fraction(n + 1, n) * (
+                    Fraction(1, math.floor(cutoff) + 1) - Fraction(1, n + 1))
 
     def test_index_errors(self):
         with pytest.raises(ValueError):
