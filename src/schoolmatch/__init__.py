@@ -18,7 +18,6 @@ from schoolmatch.market import (
     validate_market,
 )
 from schoolmatch.assignment import (
-    AssignmentResult,
     InfeasibleAssignmentError,
     min_cost_assignment,
 )

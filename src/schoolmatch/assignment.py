@@ -40,16 +40,14 @@ entries, ``-inf`` included, are refused.  A float32 matrix is read in
 place, any other as a float64 copy; every read is widened to float64, so
 the arithmetic is the same.  Integer costs are exact: every intermediate
 is an integer-valued float64, exact to 2**53, far beyond any rank sum.
+The solver returns the matching alone, as the column of each row.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "AssignmentResult",
     "InfeasibleAssignmentError",
     "min_cost_assignment",
 ]
@@ -59,21 +57,14 @@ class InfeasibleAssignmentError(ValueError):
     """No perfect row-matching with finite total cost exists."""
 
 
-@dataclass(frozen=True)
-class AssignmentResult:
-    """A minimum-cost matching: column per row, and the cost it attains."""
-
-    col_of_row: tuple[int, ...]
-    total_cost: int | float
-
-
-def min_cost_assignment(cost, columns=None) -> AssignmentResult:
-    """Exact minimum-cost matching of every row to a distinct column.
+def min_cost_assignment(cost, columns=None) -> np.ndarray:
+    """Exact minimum-cost matching of every row to a distinct column,
+    as the column of each row: a 1-D ``np.intp`` array.
 
     ``columns`` lists, for each column of the matrix solved over, the
     column of ``cost`` it copies: the result is exactly that of
-    ``min_cost_assignment(cost[:, columns])``, matching, total and
-    refusals alike, without building that matrix.  ``None`` means every
+    ``min_cost_assignment(cost[:, columns])``, matching and refusals
+    alike, without building that matrix.  ``None`` means every
     column of ``cost`` once, in order.  A column of ``cost`` that
     ``columns`` leaves out is neither checked nor solved over, and an
     entry that is not an index of one raises ValueError.
@@ -84,8 +75,7 @@ def min_cost_assignment(cost, columns=None) -> AssignmentResult:
     time: every column at the current minimum distance is scanned at
     once, and the search stops at the first layer that holds a free
     column, taking the lowest-index one.  Identical inputs therefore
-    give identical matchings.  The total cost is an int when every
-    finite cost is integral, else a float.
+    give identical matchings.
 
     Raises ValueError for a matrix that is not 2-D and non-empty, has
     more rows than columns, or holds NaN or a negative entry, and
@@ -119,9 +109,6 @@ def min_cost_assignment(cost, columns=None) -> AssignmentResult:
         raise InfeasibleAssignmentError(
             f"infeasible row {int(dead.argmax())}: all costs are infinite"
         )
-    # 64 rows at a time, stopping at the first fraction; inf rounds to itself
-    blocks = (c[i : i + 64] for i in range(0, n_rows, 64))
-    integral = all((np.round(block) == block).all() for block in blocks)
 
     # Copies grouped by class, in column order within each: class k's
     # copies are the positions start[k] up to stop[k], matched in turn.
@@ -228,6 +215,4 @@ def min_cost_assignment(cost, columns=None) -> AssignmentResult:
         for scanned, dist, _, _ in layers:
             v[scanned] += dist - min_val
 
-    total = held[col_of_row].sum()
-    return AssignmentResult(tuple(column[col_of_row].tolist()),
-                            int(total) if integral else float(total))
+    return column[col_of_row]

@@ -117,13 +117,13 @@ def _as_padded(lists, owner: str, item: str) -> tuple[np.ndarray, np.ndarray]:
     padded with -1 and as wide as the longest list, int64 list lengths).
     An entry that is not an exact int32 raises ValueError naming its
     ``owner`` row; the rest are stored in ``_list_type``.  A read-only
-    array of that type over read-only memory is kept as it is; anything
-    else is copied, so the caller cannot write to what the market
-    stores.  A 2-D array with no rows is read as no lists, 0 wide."""
+    array of that type over read-only memory an array owns is kept as
+    it is; anything else is copied, so the caller cannot write to what
+    the market stores.  A 2-D array with no rows is no lists, 0 wide."""
     if isinstance(lists, np.ndarray) and lists.ndim == 2 and len(lists):
-        # a read-only view of an array the caller can still write is copied
+        # copied: a read-only view of writable memory, or of a buffer no array owns
         base = lists.base if isinstance(lists.base, np.ndarray) else lists
-        writable = lists.flags.writeable or base.flags.writeable
+        writable = lists.flags.writeable or base.flags.writeable or not base.flags.owndata
         exact = lists if lists.dtype in (np.int16, np.int32) else _exact(
             lists, np.int32, owner, item, lambda i: i // lists.shape[1])
         padded = exact.astype(_list_type(exact), copy=writable and exact is lists)
@@ -617,8 +617,11 @@ def _read_lists(rows: list[tuple[int, str]], ids: list[int], owners: list[int],
 def save_market(market: Market, path: str | Path) -> None:
     """Write ``market`` in the canonical file format (ids ascending),
     from the stored arrays ``_BLOCK_CELLS`` list cells at a time.  A
-    market that ``validate_market`` flags raises ValueError unwritten."""
-    if problems := validate_market(market):
+    market that ``validate_market`` flags, or with no students or no
+    schools (which ``load_market`` refuses), raises ValueError unwritten."""
+    empty = [f"no {who}" for who, count in (("students", market.n_students),
+                                            ("schools", market.n_schools)) if not count]
+    if problems := empty + validate_market(market):
         raise ValueError("cannot save an invalid market: " + "; ".join(problems))
     with open(path, "w", encoding="utf-8") as out:
         out.write("[schools]\n")

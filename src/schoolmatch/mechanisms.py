@@ -253,8 +253,7 @@ def rank_minimizing(market: Market, seed: int) -> Allocation:
     table, columns, seats, row_perm = _shuffled_rank_costs(market, seed)
     assignment = np.empty(market.n_students, dtype=np.int64)
     if market.n_students:  # the solver refuses an empty matrix
-        result = min_cost_assignment(table, columns)
-        assignment[row_perm] = seats[list(result.col_of_row)]
+        assignment[row_perm] = seats[min_cost_assignment(table, columns)]
     allocation = Allocation(assignment)
     if memo is not None:
         memo[key] = allocation

@@ -5,8 +5,10 @@ by the plain tuple loops the array code replaced, and never calls the
 code paths it is used to check.  ``lists_of`` rebuilds a market's
 lists as tuples for them, ``random_market_lists`` draws the
 inputs for the comparisons, ``write_city_market`` writes a large market
-file, ``peak_of`` measures a call's traced memory, and ``counted_solves``
-counts RM's solver calls.
+file, ``peak_of`` measures a call's traced memory, ``counted_solves``
+counts RM's solver calls, and ``matched_total`` sums a matrix at a
+matching's columns.  ``rank_minimizing_max_range`` imports scipy, a test
+dependency, when it is called.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from schoolmatch import mechanisms
-from schoolmatch.assignment import AssignmentResult, InfeasibleAssignmentError
+from schoolmatch.assignment import InfeasibleAssignmentError
 from schoolmatch.market import (
     UNASSIGNED, Allocation, Market, MarketFormatError, validate_allocation, validate_market,
 )
@@ -509,15 +511,11 @@ def _checked_cost_matrix(cost) -> np.ndarray:
     return c
 
 
-def _assignment_result(c: np.ndarray, col_of_row: np.ndarray) -> AssignmentResult:
-    matched = c[np.arange(len(col_of_row)), col_of_row]
-    total = matched.sum()
-    finite = c[np.isfinite(c)]
-    if finite.size and np.all(finite == np.round(finite)):
-        total = int(total)
-    else:
-        total = float(total)
-    return AssignmentResult(tuple(int(j) for j in col_of_row), total)
+def matched_total(cost, col_of_row) -> float:
+    """The sum of ``cost`` at each row's column: the total a matching
+    attains, read off the matrix rather than taken from a solver."""
+    c = np.asarray(cost, dtype=np.float64)
+    return float(c[np.arange(len(col_of_row)), col_of_row].sum())
 
 
 @functools.lru_cache(maxsize=64)
@@ -531,8 +529,9 @@ def _injections(n_cols: int, n_rows: int) -> np.ndarray:
     return perms
 
 
-def brute_force_assignment(cost) -> AssignmentResult:
-    """Exhaustive minimum over all row-to-column injections.
+def brute_force_assignment(cost) -> np.ndarray:
+    """Exhaustive minimum over all row-to-column injections, as the
+    column of each row.
 
     Guard: at most 8 rows (factorial enumeration).  Deterministic: the
     lexicographically first optimal injection wins.
@@ -557,11 +556,12 @@ def brute_force_assignment(cost) -> AssignmentResult:
                     f"infeasible row {i}: all costs are infinite"
                 )
         raise InfeasibleAssignmentError("no injection with finite total cost")
-    return _assignment_result(c, perms[best])
+    return perms[best].astype(np.intp)
 
 
-def reference_min_cost_assignment(cost) -> AssignmentResult:
-    """The layer-scan solver with a ``done`` mask and ``pred_row`` per row."""
+def reference_min_cost_assignment(cost) -> np.ndarray:
+    """The layer-scan solver with a ``done`` mask and ``pred_row`` per
+    row; the column of each row."""
     c = _checked_cost_matrix(cost)
     n_rows, n_cols = c.shape
     dead = ~np.isfinite(c).any(axis=1)
@@ -571,7 +571,7 @@ def reference_min_cost_assignment(cost) -> AssignmentResult:
         )
     v = np.zeros(n_cols)
     row_of_col = np.full(n_cols, -1, dtype=np.int64)
-    col_of_row = np.full(n_rows, -1, dtype=np.int64)
+    col_of_row = np.full(n_rows, -1, dtype=np.intp)
     free = np.ones(n_cols, dtype=bool)
     for cur_row in range(n_rows):
         shortest = c[cur_row] - v
@@ -606,7 +606,7 @@ def reference_min_cost_assignment(cost) -> AssignmentResult:
             col_of_row[i], j = j, col_of_row[i]
             if i == cur_row:
                 break
-    return _assignment_result(c, col_of_row)
+    return col_of_row
 
 
 def reference_rank_cost_matrix(market: Market) -> tuple[np.ndarray, np.ndarray]:
@@ -638,10 +638,44 @@ def reference_shuffled_cost_matrix(market: Market, seed: int):
 def reference_rank_minimizing(market: Market, seed: int) -> Allocation:
     """RM through the two-step matrix build and the reference solver."""
     cost, schools, row_perm = reference_shuffled_cost_matrix(market, seed)
-    result = reference_min_cost_assignment(cost)
     assignment = np.empty(market.n_students, dtype=np.int64)
-    assignment[row_perm] = schools[list(result.col_of_row)]
+    assignment[row_perm] = schools[reference_min_cost_assignment(cost)]
     return Allocation(assignment)
+
+
+def rank_minimizing_max_range(market: Market) -> tuple[int, int, int]:
+    """(least effective rank sum, least and greatest maximum effective
+    rank over the allocations that attain it), by scipy's
+    ``linear_sum_assignment`` on the seat matrix of
+    ``reference_rank_cost_matrix``.  With B = n + 1, more than the
+    students any 0/1 term can count, the costs rank·B + [rank > cap]
+    are least at a rank-minimizing allocation with the fewest ranks
+    above cap, so some optimum keeps every rank within cap exactly when
+    that solve does; rank·B − [rank ≥ cap] likewise finds the most ranks
+    at or above cap.  A bisection on cap finds both ends.  Every cost
+    and sum is an integer below 2**53, so float64 is exact."""
+    from scipy.optimize import linear_sum_assignment  # test-only; slow to import
+
+    cost, _ = reference_rank_cost_matrix(market)
+    weighted = cost * (cost.shape[0] + 1)
+
+    def ranks(c):  # the effective ranks of one optimum of c
+        rows, cols = linear_sum_assignment(c)
+        return cost[rows, cols]
+
+    found = ranks(cost)
+    lo, hi = 1, int(found.max())  # the least maximum: some optimum stays within hi
+    while lo < hi:
+        cap = (lo + hi) // 2
+        top = int(ranks(weighted + (cost > cap)).max())
+        lo, hi = (lo, top) if top <= cap else (cap + 1, hi)
+    least = lo
+    lo, hi = int(found.max()), int(cost[np.isfinite(cost)].max())  # some optimum reaches lo
+    while lo < hi:
+        cap = (lo + hi + 1) // 2
+        top = int(ranks(weighted - (cost >= cap)).max())
+        lo, hi = (top, hi) if top >= cap else (lo, cap - 1)
+    return int(found.sum()), least, lo
 
 
 def improving_cycle_exists(market: Market, allocation: Allocation) -> bool:

@@ -40,10 +40,12 @@ from schoolmatch.theory import rsd_no_envy_fraction, rsd_rank_probability
 from oracles import (
     brute_force_assignment,
     harmonic_number,
+    matched_total,
     pareto_optimal_by_enumeration,
     uniform_ttc_mean_rank,
     uniform_ttc_share_above,
 )
+from test_solver_vs_scipy import uniform_max_ranges
 
 DATA = Path(__file__).parent / "data"
 
@@ -99,7 +101,7 @@ def test_solver_exactness_vs_oracle():
         nr = int(rng.integers(1, 8))
         nc = int(rng.integers(nr, nr + 3))
         c = rng.integers(0, 100, size=(nr, nc))
-        if min_cost_assignment(c).total_cost != brute_force_assignment(c).total_cost:
+        if matched_total(c, min_cost_assignment(c)) != matched_total(c, brute_force_assignment(c)):
             mismatches += 1
     elapsed = time.perf_counter() - start
     _criterion(
@@ -242,6 +244,58 @@ def test_ttc_threshold_shares_exact_n100(table_n100):
         checks.append((f"TTC >{m:.3g}: within 4 se of {exact:.5f}",
                        abs(mean - exact) <= 4 * err, f"{mean:.5f} (se {err:.5f})"))
     _criterion("TTC threshold shares n=100 against the exact law", checks)
+
+
+def test_rm_max_within_range_of_optima_n100(table_n100):
+    # RM's max depends on which optimum its tie rule picks; on the
+    # fixture's first 200 markets, redrawn from their seeds, its rank sum
+    # is the least and its max lies between the least and greatest max
+    # over rank-minimizing allocations
+    report, _ = table_n100
+    rm, reps = report.summaries["RM"], 200
+    optimum, least, greatest = uniform_max_ranges(report.config, reps).T
+    sums, maxes = np.round(rm.per_rep_mean[:reps] * report.config.n), rm.per_rep_max[:reps]
+    outside = int(((maxes < least) | (maxes > greatest)).sum())
+    _criterion(
+        "RM's max among optima at n=100 (first 200 replications)",
+        [
+            ("rank sum is scipy's optimum on every replication",
+             np.array_equal(sums, optimum), f"{int((sums != optimum).sum())} differ"),
+            ("max within [least, greatest] over optima", outside == 0,
+             f"{outside} outside; least {least.mean():.3f}, RM {maxes.mean():.3f}, "
+             f"greatest {greatest.mean():.3f}"),
+        ],
+    )
+
+
+def test_rsd_against_exact_laws_n100():
+    # RSD has the same law as TTC on these markets (rank share j is
+    # (n+1)/(n j (j+1)) at every n): its mean and six threshold shares
+    # within 4 se of the exact values, per replication from _replicate,
+    # and its envy share within 4 se of 1 - rsd_no_envy_fraction(n)
+    config = ExperimentConfig(n=100, replications=1000, master_seed=20256, mechanisms=("RSD",),
+                              thresholds=(1.0, 2.0, math.log(100), 10.0, 25.0, 50.0))
+    rsd = run_experiment(config).summaries["RSD"]
+    rows = np.array([_replicate(config, None, r)["RSD"] for r in range(config.replications)])
+    shares = rows[:, 5:]
+    means = shares.mean(axis=0)
+    se = shares.std(axis=0, ddof=1) / math.sqrt(len(shares))
+    knuth = float(uniform_ttc_mean_rank(config.n))
+    envy = 1.0 - rsd_no_envy_fraction(config.n)
+    envy_se = rsd.per_rep_envy_share.std(ddof=1) / math.sqrt(config.replications)
+    checks = [
+        ("the same replications as the run",
+         tuple(float(x) for x in means) == rsd.threshold_share, f"{means.round(5).tolist()}"),
+        (f"RSD mean within 4 se of Knuth's {knuth:.5f}",
+         abs(rsd.mean - knuth) <= 4 * rsd.se_mean, f"{rsd.mean:.5f} (se {rsd.se_mean:.4f})"),
+        (f"RSD envy share within 4 se of {envy:.5f}",
+         abs(rsd.envy_share - envy) <= 4 * envy_se, f"{rsd.envy_share:.5f} (se {envy_se:.5f})"),
+    ]
+    for m, mean, err in zip(config.thresholds, means, se):
+        exact = float(uniform_ttc_share_above(config.n, m))
+        checks.append((f"RSD >{m:.3g}: within 4 se of {exact:.5f}",
+                       abs(mean - exact) <= 4 * err, f"{mean:.5f} (se {err:.5f})"))
+    _criterion("RSD at n=100 against the exact laws", checks)
 
 
 def test_rsd_theory_oracles():

@@ -76,6 +76,7 @@ CASES = {
     "oracle_rsd_envy_n1000.csv": ["oracle", "--check", "rsd_envy", "--n", "1000"],
     "oracle_rsd_envy_n10000.csv": ["oracle", "--check", "rsd_envy", "--n", "10000"],
     "oracle_rm_envy.csv": ["oracle", "--check", "rm_envy"],
+    "oracle_rm_pmf.csv": ["oracle", "--check", "rm_pmf"],
     # H_n summed over many blocks of terms, and the reference curves
     "oracle_ttc_avg_rank_n1000000.csv": ["oracle", "--check", "ttc_avg_rank", "--n", "1000000"],
     "oracle_curves_n1000.csv": ["oracle", "--check", "curves", "--n", "1000"],

@@ -209,6 +209,24 @@ class TestMarketFiles:
             save_market(m, path)
         assert not path.exists()
 
+    @pytest.mark.parametrize("fields, message", [
+        pytest.param(dict(capacities=(1, 1), prefs=(), priorities=((), ())),
+                     "no students", id="no_students"),
+        pytest.param(dict(capacities=(), prefs=((), ()), priorities=()),
+                     "no schools", id="no_schools"),
+        pytest.param(dict(capacities=(), prefs=(), priorities=()),
+                     "no students; no schools", id="neither"),
+    ])
+    def test_save_refuses_market_the_loader_refuses(self, tmp_path, fields, message):
+        # valid, and every mechanism runs on it, but the loader refuses a
+        # file with no students or no schools, as empty or truncated
+        m = Market(**fields)
+        assert validate_market(m) == []
+        path = tmp_path / "m.txt"
+        with pytest.raises(ValueError, match=rf"^cannot save an invalid market: {message}$"):
+            save_market(m, path)
+        assert not path.exists()
+
     @pytest.mark.parametrize("ragged", [False, True])
     def test_load_save_identity_at_scale(self, tmp_path, ragged):
         # 600 students ranking 8 of 150 four-seat schools, every school
@@ -679,6 +697,16 @@ class TestArrayStorage:
         view.setflags(write=False)
         m = Market(capacities=(2, 1, 1), prefs=read_only, priorities=view)
         assert not np.shares_memory(m.priority_array, writable)
+        # and a read-only array over a buffer no array owns, which the
+        # caller can still write
+        buf = bytearray(np.array([[0, 1], [1, 0]], dtype=np.int16).tobytes())
+        flat = np.frombuffer(buf, dtype=np.int16)
+        flat.setflags(write=False)
+        m = Market(capacities=(1, 1), prefs=flat.reshape(2, 2), priorities=((0, 1), (1, 0)))
+        table = m.rank_table.copy()
+        buf[0:2] = (1).to_bytes(2, "little")
+        assert m.pref_array.tolist() == [[0, 1], [1, 0]]
+        assert np.array_equal(m.rank_table, table) and not validate_market(m)
         # a generated market stores both halves of its one draw
         generated = generate_uniform_market(5, 1)
         assert generated.pref_array.base is generated.priority_array.base is not None

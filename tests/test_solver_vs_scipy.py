@@ -12,11 +12,19 @@ from scipy.optimize import linear_sum_assignment
 from schoolmatch.assignment import InfeasibleAssignmentError, min_cost_assignment
 from schoolmatch.market import Market, load_market
 from schoolmatch.mechanisms import MECHANISMS, run_mechanism
-from schoolmatch.simulate import generate_uniform_market
+from schoolmatch.simulate import (
+    _TAG_MARKET,
+    ExperimentConfig,
+    derive_seed,
+    generate_uniform_market,
+    run_experiment,
+)
 
 from oracles import (
+    _injections,
     improving_cycle_exists,
     random_market_lists,
+    rank_minimizing_max_range,
     ranks_by_definition,
     reference_rank_cost_matrix,
     write_city_market,
@@ -33,11 +41,9 @@ def scipy_total(cost):
 
 
 def assert_matches_scipy(cost):
-    result = min_cost_assignment(cost)
-    assert result.total_cost == scipy_total(cost)
-    cols = np.asarray(result.col_of_row)
-    assert len(set(result.col_of_row)) == cost.shape[0]
-    assert cost[np.arange(cost.shape[0]), cols].sum() == result.total_cost
+    cols = min_cost_assignment(cost)
+    assert len(set(cols.tolist())) == cost.shape[0]
+    assert cost[np.arange(cost.shape[0]), cols].sum() == scipy_total(cost)
 
 
 def partial_market(n: int, n_schools: int, seats: int, list_len: int, seed: int) -> Market:
@@ -112,3 +118,44 @@ def test_rm_certified_where_scipy_cannot_reach(tmp_path, schools):
     verdicts = {name: improving_cycle_exists(market, run_mechanism(name, market, 3))
                 for name in ("RM", "TTC", "DA")}
     assert verdicts == {"RM": False, "TTC": True, "DA": True}
+
+
+def uniform_max_ranges(config, reps):
+    """``rank_minimizing_max_range`` of each of the first ``reps`` markets
+    of a uniform ``run_experiment(config)``, redrawn from its seed: one
+    row (least rank sum, least and greatest maximum rank) each."""
+    return np.array([rank_minimizing_max_range(generate_uniform_market(
+        config.n, derive_seed(config.master_seed, r, _TAG_MARKET))) for r in range(reps)])
+
+
+def test_max_range_oracle_by_enumeration():
+    # every row-to-seat injection of small markets, partial lists and
+    # short supply included: the least rank sum, and the least and
+    # greatest maximum rank among the injections that attain it
+    rng = np.random.default_rng(66)
+    checked = spread = 0
+    while checked < 300:
+        market = Market(*random_market_lists(rng, max_students=6, max_schools=4))
+        cost, _ = reference_rank_cost_matrix(market)
+        if cost.shape[1] > 10:
+            continue
+        ranks = cost[np.arange(cost.shape[0]), _injections(*cost.shape[::-1])]
+        sums = ranks.sum(axis=1)
+        maxes = ranks[sums == sums.min()].max(axis=1)
+        expected = (sums.min(), maxes.min(), maxes.max())
+        assert rank_minimizing_max_range(market) == expected
+        checked += 1
+        spread += expected[1] < expected[2]
+    assert spread > 0
+
+
+def test_rm_max_within_range_of_optima():
+    # RM's tie rule picks one optimum: its rank sum is the least, and its
+    # maximum lies between the least and greatest over optima (4.825,
+    # 5.050 and 5.175 on average here; the range is open on 12 of 40)
+    config = ExperimentConfig(n=30, replications=40, master_seed=30, mechanisms=("RM",))
+    rm = run_experiment(config).summaries["RM"]
+    optimum, least, greatest = uniform_max_ranges(config, 40).T
+    assert np.array_equal(optimum, np.round(rm.per_rep_mean * config.n))
+    assert (least <= rm.per_rep_max).all() and (rm.per_rep_max <= greatest).all()
+    assert (least < greatest).any()
