@@ -36,11 +36,11 @@ gather.
 
 Costs are nonnegative reals; ``inf`` marks a forbidden pairing (an
 unranked school, when costs are preference ranks).  NaN and negative
-entries, ``-inf`` included, are refused.  A float32 matrix is read in
-place, any other as a float64 copy; every read is widened to float64, so
-the arithmetic is the same.  Integer costs are exact: every intermediate
-is an integer-valued float64, exact to 2**53, far beyond any rank sum.
-The solver returns the matching alone, as the column of each row.
+entries, ``-inf`` included, are refused.  A bool, integer or float
+matrix is read in place, any other as a float64 copy; every read is
+widened to float64, so the arithmetic is the same.  Integer costs are
+exact: every intermediate is an integer-valued float64, exact to 2**53,
+far beyond any rank sum.  The solver returns each row's column alone.
 """
 
 from __future__ import annotations
@@ -79,11 +79,11 @@ def min_cost_assignment(cost, columns=None) -> np.ndarray:
 
     Raises ValueError for a matrix that is not 2-D and non-empty, has
     more rows than columns, or holds NaN or a negative entry, and
-    InfeasibleAssignmentError when no matching has finite cost.  A
-    float32 ``cost`` is read in place and widened to float64 per read.
+    InfeasibleAssignmentError when no matching has finite cost.  A bool,
+    integer or float ``cost`` is read in place, widened to float64 per read.
     """
     c = np.asarray(cost, order="C")  # rows are gathered below
-    c = c if c.dtype == np.float32 else c.astype(np.float64, copy=False)
+    c = c if c.dtype.kind in "biuf" else c.astype(np.float64)
     if c.ndim != 2:
         raise ValueError(f"cost matrix must be 2-D and non-empty, got shape {c.shape}")
     index = np.arange(c.shape[1]) if columns is None else np.asarray(columns)

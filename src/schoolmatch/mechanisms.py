@@ -190,15 +190,17 @@ def _shuffled_rank_costs(market: Market, seed: int
     classes = list(dict.fromkeys((seats + 1).tolist()))
     column_of = np.empty(m + 1, dtype=np.intp)
     column_of[classes] = np.arange(len(classes))
-    table = np.empty((n, len(classes)), np.promote_types(ranks.dtype, np.float32))
+    full = market.has_full_lists  # every school ranked: no cost is inf
+    table = np.empty((n, len(classes)),
+                     ranks.dtype if full else np.promote_types(ranks.dtype, np.float32))
     buffer = np.empty((64, m + 1), table.dtype)  # column 0 holds k+1, column s+1 school s
     for i in range(0, n, 64):
         rows = row_perm[i : i + 64]
         block = buffer[: len(rows)]
         block[:, 0] = lengths[rows] + 1
         block[:, 1:] = ranks[rows]
-        # ranked schools sit at 1..k <= m, unranked ones at m + 2
-        np.copyto(block[:, 1:], np.inf, where=block[:, 1:] > m)
+        if not full:  # ranked schools sit at 1..k <= m, unranked ones at m + 2
+            np.copyto(block[:, 1:], np.inf, where=block[:, 1:] > m)
         # every index is in range; "clip", unlike "raise", fills out unbuffered
         block.take(classes, axis=1, out=table[i : i + 64], mode="clip")
     return table, column_of[seats + 1], seats, row_perm
@@ -232,10 +234,12 @@ def rank_minimizing(market: Market, seed: int) -> Allocation:
 
     The solver reads one column per seat class, not per seat: a school's
     seats, and the "stay unassigned" seats, share a column of costs.
-    That table is float32 for an int16 ``rank_table``, exact for each cost,
-    and float64 for an int32 one; it is built 64 rows at a time through a
-    small buffer, and no other copy is alive.  Inside ``_memoized_rm``, a
-    repeated (market, seed) gets the allocation its first call solved.
+    That table keeps ``rank_table``'s integer type on full lists, where no
+    cost is inf, and is otherwise float32 for an int16 ``rank_table``,
+    exact for each cost, and float64 for an int32 one; it is built 64 rows
+    at a time through a small buffer, and no other copy is alive.  Inside
+    ``_memoized_rm``, a repeated (market, seed) gets the allocation its
+    first call solved.
     """
     memo = _RM_MEMO.get()
     if memo is not None:

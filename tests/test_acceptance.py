@@ -226,11 +226,10 @@ def test_ttc_and_da_means_against_exact_laws(table_n100, table_n500):
     _criterion("TTC's exact mean and DA's bound at n=100 and n=500", checks)
 
 
-def test_ttc_threshold_shares_exact_n100(table_n100):
+def _ttc_threshold_shares_exact(report):
     # the fixture's TTC rows again, one per replication from the same
     # market seeds (the summary keeps no per-replication shares); each
     # mean share lies within 4 se of (n+1)/n (1/(floor(m)+1) - 1/(n+1))
-    report, _ = table_n100
     config = replace(report.config, mechanisms=("TTC",))
     rows = np.array([_replicate(config, None, r)["TTC"] for r in range(config.replications)])
     shares = rows[:, 5:]
@@ -243,7 +242,15 @@ def test_ttc_threshold_shares_exact_n100(table_n100):
         exact = float(uniform_ttc_share_above(config.n, m))
         checks.append((f"TTC >{m:.3g}: within 4 se of {exact:.5f}",
                        abs(mean - exact) <= 4 * err, f"{mean:.5f} (se {err:.5f})"))
-    _criterion("TTC threshold shares n=100 against the exact law", checks)
+    _criterion(f"TTC threshold shares n={config.n} against the exact law", checks)
+
+
+def test_ttc_threshold_shares_exact_n100(table_n100):
+    _ttc_threshold_shares_exact(table_n100[0])
+
+
+def test_ttc_threshold_shares_exact_n500(table_n500):
+    _ttc_threshold_shares_exact(table_n500[0])
 
 
 def test_rm_max_within_range_of_optima_n100(table_n100):

@@ -169,9 +169,11 @@ def assert_same_shuffled_costs(market, seed):
     class, in the order the classes first appear among the seats."""
     table, columns, seats, row_perm = _shuffled_rank_costs(market, seed)
     expected, schools, expected_perm = reference_shuffled_cost_matrix(market, seed)
-    # float32 holds every cost of an int16 rank table exactly
+    # full lists hold no inf, so the table keeps the ranks' int16; partial
+    # lists need inf, and float32 holds it and every int16 cost exactly
     assert market.rank_table.dtype == np.int16
-    assert table.dtype == np.float32 and table.flags.c_contiguous
+    assert table.dtype == (np.int16 if market.has_full_lists else np.float32)
+    assert table.flags.c_contiguous
     assert np.array_equal(row_perm, expected_perm)
     assert np.array_equal(seats, schools)
     assert np.array_equal(table[:, columns], expected)
@@ -217,8 +219,8 @@ def test_shuffled_rank_matrices_whole_input_space():
 
 
 def test_float32_table_solved_as_its_float64_copy():
-    # a float32 table is read in place and every read widened to float64,
-    # so the solver picks the matching and refusal that the
+    # a float32 or int16 table is read in place and every read widened
+    # to float64, so the solver picks the matching and refusal that the
     # reference picks on the table's float64 copy: on RM's tables, and
     # on tie-heavy fractions that float32 has rounded, where arithmetic
     # rounded to float32 (a 64-row block subtracted in place) would
@@ -228,7 +230,7 @@ def test_float32_table_solved_as_its_float64_copy():
         caps, prefs, prios = random_market_lists(rng, max_students=40, max_schools=10)
         market = Market(capacities=caps, prefs=prefs, priorities=prios)
         table, columns, _, _ = _shuffled_rank_costs(market, int(rng.integers(0, 2**32)))
-        assert table.dtype == np.float32
+        assert table.dtype == (np.int16 if market.has_full_lists else np.float32)
         check_same_result(table, columns)
     for _ in range(300):
         nr = int(rng.integers(1, 40))
@@ -238,10 +240,47 @@ def test_float32_table_solved_as_its_float64_copy():
         check_same_result(cost)
 
 
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64, np.uint16, np.bool_,
+                                   np.float16, np.float32, np.float64])
+def test_real_table_solved_as_its_float64_copy(dtype):
+    # every real type is read in place and each read widened to float64,
+    # so tie-heavy small integers (and signed ones below 0, refused) give
+    # the matching or refusal the reference gives on the float64 copy
+    rng = np.random.default_rng(86)
+    high = 2 if dtype is np.bool_ else 5
+    signed = np.dtype(dtype).kind in "if"
+    solved = 0
+    for _ in range(150):
+        nr = int(rng.integers(1, 12))
+        nc = max(1, nr + int(rng.integers(-1, 5)))
+        cost = rng.integers(0, high, size=(nr, nc)).astype(dtype)
+        if signed and rng.random() < 0.1:
+            cost[int(rng.integers(0, nr)), int(rng.integers(0, nc))] = -1
+        columns = None if rng.random() < 0.5 else rng.integers(0, nc, size=nr + 2)
+        solved += check_same_result(cost, columns)
+    assert 100 < solved < 150
+
+
+def test_int32_tables_on_full_lists_past_int16():
+    # 32,770 schools put the unranked sentinel m + 2 past int16, so the
+    # rank table is int32; on full lists no cost is inf, so RM's table
+    # is int32 too, not float64, and picks the reference's allocation
+    m = 32_770
+    rng = np.random.default_rng(87)
+    prefs = [[0] + (rng.permutation(m - 1) + 1).tolist() for _ in range(3)]  # all want 0 first
+    market = Market(capacities=[1] * m, prefs=prefs, priorities=[[0, 1, 2]] * m)
+    assert market.has_full_lists and market.rank_table.dtype == np.int32
+    for seed in (88, 89, 90):
+        table, _, _, _ = _shuffled_rank_costs(market, seed)
+        assert table.dtype == np.int32 and table.shape == (3, m)
+        assert rank_minimizing(market, seed) == reference_rank_minimizing(market, seed)
+
+
 def test_int32_rank_table_gets_a_float64_table():
     # 32,770 schools put the unranked sentinel m + 2 past int16, so the
-    # rank table is int32; an int32 table's ranks and k + 1 can pass
-    # 2**24, where float32 rounds, so RM's table is float64 there
+    # rank table is int32; partial lists need inf, and an int32 table's
+    # ranks and k + 1 can pass 2**24, where float32 rounds, so RM's
+    # table is float64 there
     m = 32_770
     rng = np.random.default_rng(82)
     prefs = [rng.choice(m, size=3, replace=False).tolist() for _ in range(2)]

@@ -392,23 +392,24 @@ class TestRunExperiment:
         assert peak_of(run_experiment, config) < 1.5 * n * n * 8
 
     def test_rm_holds_one_cost_matrix(self):
-        # RM builds its shuffled (n, n) float32 cost matrix 64 rows at a
-        # time from the int16 rank table, with no n-row float table or
-        # row-permuted copy beside it, and the solver reads it in place:
-        # the peak is the market's n^2 * 8 bytes and that matrix's
-        # n^2 * 4 (a float64 matrix would make it n^2 * 16)
+        # on full lists RM builds its shuffled (n, n) cost matrix in the
+        # int16 rank table's own type, 64 rows at a time, with no n-row
+        # float table or row-permuted copy beside it, and the solver
+        # reads it in place: the peak is the market's n^2 * 8 bytes and
+        # that matrix's n^2 * 2, about 1.37 n^2 * 8 in all (a float64
+        # matrix would make it 2 n^2 * 8)
         n = 400
         config = ExperimentConfig(n=n, replications=3, master_seed=1,
                                   mechanisms=("RM", "TTC", "DA"))
-        assert peak_of(run_experiment, config) < 1.9 * n * n * 8
+        assert peak_of(run_experiment, config) < 1.6 * n * n * 8
 
-    def test_solver_reads_a_float32_table_in_place(self):
+    def test_solver_reads_an_int16_table_in_place(self):
         # a float64 copy of the n = 400 unit table alone would trace
         # n^2 * 8 bytes; the solve holds only 64-row blocks and arrays
-        # over the classes (about 0.37 n^2 * 8)
+        # over the classes (about 0.35 n^2 * 8)
         n = 400
         table, columns, _, _ = _shuffled_rank_costs(generate_uniform_market(n, 81), 1)
-        assert table.dtype == np.float32 and table.shape == (n, n)
+        assert table.dtype == np.int16 and table.shape == (n, n)
         assert peak_of(min_cost_assignment, table, columns) < n * n * 8
 
     def test_rm_holds_one_column_per_seat_class(self):
@@ -433,10 +434,10 @@ class TestRunExperiment:
     def test_rm_solve_is_as_wide_as_the_seat_classes(self):
         # the same market: the solve holds a few arrays over the 2,000
         # seats (16 KB each) and 64-row blocks over the 11 classes (6 KB),
-        # about 1.7 times the 88 KB the table takes in float64 (it is
-        # float32, and read in place).  A solver with a slot per matched
-        # seat reduces 64-row blocks over up to n + m + 1 slots (518 KB)
-        # and peaks at about 8.6 times that 88 KB
+        # about 1.7 times the 88 KB the table takes in float64 (on these
+        # partial lists it is float32, and read in place).  A solver with
+        # a slot per matched seat reduces 64-row blocks over up to
+        # n + m + 1 slots (518 KB) and peaks at about 8.6 times that 88 KB
         n, m = 1000, 10
         table, columns, _, _ = _shuffled_rank_costs(partial_market(n, m, 100, 8, 5), 1)
         assert table.shape == (n, m + 1)
