@@ -1,9 +1,11 @@
-"""Exact minimum-cost bipartite assignment over classes of equal columns.
+"""Exact minimum-cost bipartite assignment to columns with capacities.
 
-Each column solved over copies a column of the cost table, its class:
-RM gives every seat of a school, and every "stay unassigned" seat, one
-class.  The solver augments one row at a time along a shortest path in
-the reduced-cost graph of the matrix of copies, keeping dual potentials
+Column j of the cost table takes up to ``capacities[j]`` rows: it
+stands for that many copies of itself, its class, laid side by side,
+so every class's copies are consecutive.  RM gives each school with
+seats, and "stay unassigned", one column and its seat count.  The
+solver augments one row at a time along a shortest path in the
+reduced-cost graph of the matrix of copies, keeping dual potentials
 so that edge weights stay nonnegative (successive shortest paths,
 Jonker-Volgenant style), yet it holds one distance, one potential and
 one layer entry per class, not per copy.
@@ -14,13 +16,12 @@ a free copy is never scanned, for it would be the sink, so its
 potential stays 0.  While a class has a free copy, its matched copies
 have potential 0 too and tie with it at every distance, so the search
 stops there before scanning them; the sink, the lowest-index free
-column at the least distance, is some class's lowest-index free copy,
-and a copy once matched stays matched.  Once a class is full, its
-copies share every distance, are scanned in one layer and move their
-potentials together.  So a search over classes makes exactly the
-augmentations of a search over copies: the sink is the class, among
-those at the least distance with a free copy, whose free copy has the
-lowest column, and scanning a class relaxes the rows of all its copies.
+copy at the least distance, is the next free copy of the lowest class
+there, and a copy once matched stays matched.  Once a class is full,
+its copies share every distance, are scanned in one layer and move
+their potentials together.  So a search over classes makes exactly the
+augmentations of a search over copies, and scanning a class relaxes
+the rows of all its copies.
 
 The Dijkstra search advances one tie layer at a time (rank costs are
 small integers, so many classes tie).  It scans every class of the
@@ -30,7 +31,7 @@ marks them NaN, so every comparison and ``np.fmin`` skips them and
 most once, O(rows^2 * classes) in all.  No predecessor is recorded:
 each layer keeps the distances it reached.  A class's predecessor layer
 is the last one that strictly shortened it, and there the row of least
-reduced cost, the first by column among ties, is the predecessor.  Each
+reduced cost, the first copy among ties, is the predecessor.  Each
 matched copy keeps its row's cost, so a layer's duals need no 2-D
 gather.
 
@@ -57,28 +58,26 @@ class InfeasibleAssignmentError(ValueError):
     """No perfect row-matching with finite total cost exists."""
 
 
-def min_cost_assignment(cost, columns=None) -> np.ndarray:
-    """Exact minimum-cost matching of every row to a distinct column,
-    as the column of each row: a 1-D ``np.intp`` array.
-
-    ``columns`` lists, for each column of the matrix solved over, the
-    column of ``cost`` it copies: the result is exactly that of
-    ``min_cost_assignment(cost[:, columns])``, matching and refusals
-    alike, without building that matrix.  ``None`` means every
-    column of ``cost`` once, in order.  A column of ``cost`` that
-    ``columns`` leaves out is neither checked nor solved over, and an
-    entry that is not an index of one raises ValueError.
+def min_cost_assignment(cost, capacities=None) -> np.ndarray:
+    """Exact minimum-cost matching of every row to a column, column j
+    taking at most ``capacities[j]`` rows (1 each when None), as the
+    column of each row: a 1-D ``np.intp`` array.  It is exactly the
+    matching, or refusal, of a solve over ``np.repeat(cost, capacities,
+    axis=1)`` with each copy read back as its column, and that matrix is
+    never built.  A column of capacity 0 is neither checked nor solved
+    over; capacities that are not one nonnegative integer per column
+    raise ValueError.
 
     Rows are matched one at a time.  A row whose cheapest reduced cost
-    is attained by a free column takes the lowest-index such column.
+    is attained by a free copy takes the lowest-index such copy.
     Otherwise a Dijkstra search from the row advances one layer at a
-    time: every column at the current minimum distance is scanned at
+    time: every copy at the current minimum distance is scanned at
     once, and the search stops at the first layer that holds a free
-    column, taking the lowest-index one.  Identical inputs therefore
+    copy, taking the lowest-index one.  Identical inputs therefore
     give identical matchings.
 
     Raises ValueError for a matrix that is not 2-D and non-empty, has
-    more rows than columns, or holds NaN or a negative entry, and
+    more rows than copies, or holds NaN or a negative entry, and
     InfeasibleAssignmentError when no matching has finite cost.  A bool,
     integer or float ``cost`` is read in place, widened to float64 per read.
     """
@@ -86,17 +85,18 @@ def min_cost_assignment(cost, columns=None) -> np.ndarray:
     c = c if c.dtype.kind in "biuf" else c.astype(np.float64)
     if c.ndim != 2:
         raise ValueError(f"cost matrix must be 2-D and non-empty, got shape {c.shape}")
-    index = np.arange(c.shape[1]) if columns is None else np.asarray(columns)
-    if index.ndim != 1 or index.size and (
-            index.dtype.kind not in "iu" or index.min() < 0 or index.max() >= c.shape[1]):
-        raise ValueError(f"columns must be a list of column indices below {c.shape[1]}")
-    n_rows, n_cols = c.shape[0], index.size
+    count = np.ones(c.shape[1], np.intp) if capacities is None else np.asarray(capacities)
+    if count.shape != c.shape[1:] or count.dtype.kind not in "iu" or (count < 0).any():
+        raise ValueError(
+            f"capacities must be one nonnegative integer for each of {c.shape[1]} columns")
+    n_rows, n_cols = c.shape[0], int(count.sum())
     if 0 in (n_rows, n_cols):
         raise ValueError(f"cost matrix must be 2-D and non-empty, got shape {(n_rows, n_cols)}")
     if n_rows > n_cols:
         raise ValueError(f"more rows than columns: {n_rows} > {n_cols}")
-    count = np.bincount(index.astype(np.intp, copy=False), minlength=c.shape[1])
-    if not count.all():  # a class no copy names is neither checked nor solved over
+    count = np.minimum(count, n_rows).astype(np.intp)  # no column takes more rows than there are
+    column = np.repeat(np.arange(c.shape[1]), count)  # the column of each copy
+    if not count.all():  # a column without copies is neither checked nor solved over
         c, count = c[:, count > 0], count[count > 0]
     row_min = c.min(axis=1)  # NaN in a row holding NaN, inf in a row of infs
     lowest = row_min.min()
@@ -110,21 +110,17 @@ def min_cost_assignment(cost, columns=None) -> np.ndarray:
             f"infeasible row {int(dead.argmax())}: all costs are infinite"
         )
 
-    # Copies grouped by class, in column order within each: class k's
-    # copies are the positions start[k] up to stop[k], matched in turn.
+    # Copies grouped by class, in column order: class k's copies are the
+    # positions next_free[k] up to stop[k], matched in turn.
     n_classes = count.size
-    column = np.argsort(index, kind="stable")  # the column of each position
-    ordered = bool((column[1:] > column[:-1]).all())  # positions in column order
     cls = np.repeat(np.arange(n_classes), count)  # the class of each position
     stop = count.cumsum()
-    start = stop - count
-    free_col = column[start]  # the column of each class's free copy
-    next_free, stop = start.tolist(), stop.tolist()  # its free copy's position
+    next_free, stop = (stop - count).tolist(), stop.tolist()  # each class's free copy
     copies = [np.arange(a, b) for a, b in zip(next_free, stop)]  # all its positions
     v = np.zeros(n_classes)  # class potentials; row duals are recomputed on the fly
     is_open = np.ones(n_classes, dtype=bool)  # the class has a free copy
-    held = np.zeros(n_cols)  # the matched row's cost, so duals need no 2-D gather
-    row_of = np.full(n_cols, -1, dtype=np.int64)  # each position's row
+    held = np.zeros(column.size)  # the matched row's cost, so duals need no 2-D gather
+    row_of = np.full(column.size, -1, dtype=np.int64)  # each position's row
     col_of_row = np.full(n_rows, -1, dtype=np.int64)  # each row's position
 
     for cur_row in range(n_rows):
@@ -140,11 +136,8 @@ def min_cost_assignment(cost, columns=None) -> np.ndarray:
                 )
             nearest = shortest == min_val
             sink = nearest & is_open
-            k = int(sink.argmax())
+            k = int(sink.argmax())  # the lowest class, so the lowest-index free copy
             if sink[k]:
-                if not ordered:  # the lowest-index free copy, not the lowest class
-                    sinks = sink.nonzero()[0]
-                    k = int(sinks[free_col[sinks].argmin()])
                 break
             # Scan the whole tie layer, every (matched) copy of its classes:
             # reduced costs are nonnegative, so the order does not matter.
@@ -175,10 +168,7 @@ def min_cost_assignment(cost, columns=None) -> np.ndarray:
             reached.append(reach)
         j = next_free[k]  # the class's next copy, if any, is now its free one
         next_free[k] += 1
-        if next_free[k] < stop[k]:
-            free_col[k] = column[next_free[k]]
-        else:
-            is_open[k] = False
+        is_open[k] = next_free[k] < stop[k]
         # Flip the path.  A position's predecessor is cur_row, or a row of
         # the last layer that strictly shortened its class: the first
         # minimum of its distance from cur_row and its reach in each layer
@@ -199,13 +189,9 @@ def min_cost_assignment(cost, columns=None) -> np.ndarray:
                 _, _, rows, u = layers[layer]
                 if isinstance(rows, int):  # a one-row layer
                     i = rows
-                else:  # the least reduced cost, first by column among ties
+                else:  # the least reduced cost, the first copy among ties
                     d = c[rows, k].astype(np.float64) - v[k] - u  # numpy 1 keeps float32 on v[k]
-                    if ordered:
-                        i = int(rows[d.argmin()])
-                    else:
-                        ties = rows[d == d.min()]
-                        i = int(ties[column[col_of_row[ties]].argmin()])
+                    i = int(rows[d.argmin()])
             row_of[j], held[j] = i, c.item(i, k)
             col_of_row[i], j = j, col_of_row[i]
             if i == cur_row:

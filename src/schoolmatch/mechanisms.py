@@ -173,11 +173,11 @@ def random_serial_dictatorship(market: Market, seed: int) -> Allocation:
 
 def _shuffled_rank_costs(market: Market, seed: int
                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """RM's cost table, rows and seats shuffled by ``seed``: one column per
-    seat class (a school, or "stay unassigned"), in the order the classes
-    first appear among the shuffled seats; each seat's column in it; each
-    seat's school (UNASSIGNED for a "stay unassigned" seat); the row
-    permutation.  ``table[:, columns]`` is the matrix over seats."""
+    """RM's cost table in ``rank_table``'s type, rows and seats shuffled by
+    ``seed``: one column per seat class (a school, or "stay unassigned"),
+    in the order the classes first appear among the shuffled seats; each
+    class's seat count and school (UNASSIGNED for "stay unassigned"); the
+    row permutation."""
     ranks, lengths = market.rank_table, market.list_lengths
     n, m = ranks.shape
     seats = np.repeat(np.arange(m), market.capacities)
@@ -188,22 +188,16 @@ def _shuffled_rank_costs(market: Market, seed: int
     seats = seats[rng.permutation(len(seats))]
     # each class's buffer column, in the order of the classes' first seats
     classes = list(dict.fromkeys((seats + 1).tolist()))
-    column_of = np.empty(m + 1, dtype=np.intp)
-    column_of[classes] = np.arange(len(classes))
-    full = market.has_full_lists  # every school ranked: no cost is inf
-    table = np.empty((n, len(classes)),
-                     ranks.dtype if full else np.promote_types(ranks.dtype, np.float32))
-    buffer = np.empty((64, m + 1), table.dtype)  # column 0 holds k+1, column s+1 school s
+    table = np.empty((n, len(classes)), ranks.dtype)
+    buffer = np.empty((64, m + 1), ranks.dtype)  # column 0 holds k+1, column s+1 school s
     for i in range(0, n, 64):
         rows = row_perm[i : i + 64]
         block = buffer[: len(rows)]
         block[:, 0] = lengths[rows] + 1
         block[:, 1:] = ranks[rows]
-        if not full:  # ranked schools sit at 1..k <= m, unranked ones at m + 2
-            np.copyto(block[:, 1:], np.inf, where=block[:, 1:] > m)
         # every index is in range; "clip", unlike "raise", fills out unbuffered
         block.take(classes, axis=1, out=table[i : i + 64], mode="clip")
-    return table, column_of[seats + 1], seats, row_perm
+    return table, np.bincount(seats + 1, minlength=m + 1)[classes], np.array(classes) - 1, row_perm
 
 
 #: (seed, digest of what RM reads) -> its allocation, inside ``_memoized_rm``.
@@ -232,12 +226,14 @@ def rank_minimizing(market: Market, seed: int) -> Allocation:
     of optima).  The total cost of the underlying matching equals the
     sum of effective ranks, including k+1 for each unassigned student.
 
-    The solver reads one column per seat class, not per seat: a school's
-    seats, and the "stay unassigned" seats, share a column of costs.
-    That table keeps ``rank_table``'s integer type on full lists, where no
-    cost is inf, and is otherwise float32 for an int16 ``rank_table``,
-    exact for each cost, and float64 for an int32 one; it is built 64 rows
-    at a time through a small buffer, and no other copy is alive.  Inside
+    The solver reads one column of costs and a seat count per seat class
+    (a school, or the n "stay unassigned" seats that a partial list or
+    short supply adds), in the order the seat permutation first draws
+    each, which its tie rule reads.  The table keeps ``rank_table``'s type
+    on every market: no search reaches an unranked school's sentinel
+    m + 2, as the stay class then always has a free seat and is cheaper
+    in reduced cost through every row.  It is built 64 rows at a time
+    through a small buffer, and no other copy is alive.  Inside
     ``_memoized_rm``, a repeated (market, seed) gets the allocation its
     first call solved.
     """
@@ -254,10 +250,10 @@ def rank_minimizing(market: Market, seed: int) -> Allocation:
         key = seed, digest.digest()
         if key in memo:
             return memo[key]
-    table, columns, seats, row_perm = _shuffled_rank_costs(market, seed)
+    table, capacities, schools, row_perm = _shuffled_rank_costs(market, seed)
     assignment = np.empty(market.n_students, dtype=np.int64)
     if market.n_students:  # the solver refuses an empty matrix
-        assignment[row_perm] = seats[min_cost_assignment(table, columns)]
+        assignment[row_perm] = schools[min_cost_assignment(table, capacities)]
     allocation = Allocation(assignment)
     if memo is not None:
         memo[key] = allocation

@@ -6,16 +6,20 @@ code paths it is used to check.  ``lists_of`` rebuilds a market's
 lists as tuples for them, ``random_market_lists`` draws the
 inputs for the comparisons, ``write_city_market`` writes a large market
 file, ``peak_of`` measures a call's traced memory, ``counted_solves``
-counts RM's solver calls, and ``matched_total`` sums a matrix at a
-matching's columns.  ``rank_minimizing_max_range`` imports scipy, a test
+counts RM's solver calls, ``matched_total`` sums a matrix at a
+matching's columns, and ``read_market_file`` reads a market file into
+the benchmark's own market arrays for the independent checks under
+``benchmarks/``.  ``rank_minimizing_max_range`` imports scipy, a test
 dependency, when it is called.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib
 import itertools
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -427,6 +431,45 @@ def load_market_by_loops(path) -> Market:
     return market
 
 
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+
+
+def benchmark_module(name: str):
+    """``benchmarks/<name>.py``, imported as the benchmark imports it (its
+    directory on ``sys.path``), to be read and never edited."""
+    if str(BENCHMARKS) not in sys.path:
+        sys.path.insert(0, str(BENCHMARKS))
+    return importlib.import_module(name)
+
+
+def read_market_file(path):
+    """A well-formed market file as the benchmark's ``inputs.MarketArrays``,
+    read line by line without ``schoolmatch``: ids map to indices in
+    ascending order, as ``load_market`` maps them, blank list tokens are
+    skipped, and a school with no ``[priorities]`` line ranks no one."""
+    sections: dict[str, dict[int, str]] = {"[schools]": {}, "[students]": {}, "[priorities]": {}}
+    rows = None
+    for line in Path(path).read_text(encoding="utf-8-sig").splitlines():
+        line = line.strip()
+        if line in sections:
+            rows = sections[line]
+        elif line:
+            head, _, tail = line.partition(",")
+            rows[int(head)] = tail
+    schools, students, priorities = sections.values()
+    school_ids, student_ids = sorted(schools), sorted(students)
+
+    def indices(text, ids):
+        position = {x: i for i, x in enumerate(ids)}
+        return np.array([position[int(tok)] for tok in text.split(";") if tok.strip()],
+                        dtype=np.int64)
+
+    return benchmark_module("inputs").MarketArrays(
+        np.array([int(schools[s]) for s in school_ids], dtype=np.int64),
+        [indices(students[t], school_ids) for t in student_ids],
+        [indices(priorities.get(s, ""), student_ids) for s in school_ids])
+
+
 def validate_allocation_by_loops(market: Market, allocation: Allocation) -> list[str]:
     """validate_allocation as the loop over tuple lists it replaced."""
     problems: list[str] = []
@@ -627,11 +670,18 @@ def reference_rank_cost_matrix(market: Market) -> tuple[np.ndarray, np.ndarray]:
 
 def reference_shuffled_cost_matrix(market: Market, seed: int):
     """RM's shuffled cost matrix, the school of each of its columns and
-    the row permutation: the full matrix, then an ``np.ix_`` copy."""
+    the row permutation: the full matrix, then an ``np.ix_`` copy whose
+    columns lay each school's seats, and the "stay unassigned" ones,
+    side by side, in the order the seat shuffle first reaches each."""
     cost, columns = reference_rank_cost_matrix(market)
     rng = np.random.default_rng(seed)
     row_perm = rng.permutation(cost.shape[0])
     col_perm = rng.permutation(cost.shape[1])
+    schools = columns[col_perm].tolist()
+    first = {}
+    for j, school in enumerate(schools):
+        first.setdefault(school, j)
+    col_perm = col_perm[sorted(range(len(schools)), key=lambda j: first[schools[j]])]
     return cost[np.ix_(row_perm, col_perm)], columns[col_perm], row_perm
 
 

@@ -14,6 +14,13 @@ DA's dominating witness, has a golden too: ``demo_mechanism_tour.txt``.
 The numpy ``Generator`` methods behind every draw are pinned on a few
 seeds, so that a golden diff can be told apart from a numpy release
 that draws differently.
+
+A golden's bytes were recorded from the program itself, so a byte
+comparison catches a change but not an error.  The ``simulate``
+goldens are therefore also replayed with the benchmark's hooks and
+checked by its independent code (``benchmarks/checks.py``, which
+imports nothing from ``schoolmatch``): each allocation, and every CSV
+row recomputed from the allocations.
 """
 
 import runpy
@@ -23,6 +30,9 @@ import numpy as np
 import pytest
 
 from schoolmatch.cli import main
+from schoolmatch.market import Market
+
+import oracles
 
 DATA = Path(__file__).parent / "data"
 
@@ -90,6 +100,88 @@ def test_cli_stdout_matches_golden(golden, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.err == ""
     assert captured.out == (DATA / golden).read_text(encoding="utf-8")
+
+
+# simulate golden -> its market file, or None for a uniform draw per
+# replication, which the benchmark re-draws from the CLI seed
+CHECKED = {
+    "simulate_n40.csv": None,
+    "simulate_small_market.csv": "small_market.txt",
+    "simulate_short_supply_market.csv": "short_supply_market.txt",
+    "simulate_many_seat_market.csv": "many_seat_market.txt",
+    "simulate_surplus_market.csv": "surplus_market.txt",
+}
+# checks.py's Pareto test counts every listed seat as feasible, while TTC
+# seats no student at a school that does not rank them (README,
+# "Mechanisms"); on these files' partial priority lists that flags TTC.
+TTC_PARETO_UNCHECKED = {"simulate_small_market.csv", "simulate_short_supply_market.csv"}
+
+
+def _arg(argv, flag):
+    return argv[argv.index(flag) + 1]
+
+
+def _max_range(market):
+    """The least and greatest max rank over RM's optima on a benchmark
+    market (``inputs.MarketArrays``)."""
+    return oracles.rank_minimizing_max_range(Market(
+        capacities=market.capacities.tolist(), prefs=[p.tolist() for p in market.prefs],
+        priorities=[p.tolist() for p in market.priorities]))[1:]
+
+
+@pytest.mark.parametrize("golden", sorted(CHECKED))
+def test_golden_checked_by_independent_code(golden, capsys, monkeypatch):
+    # every allocation feasible; DA without a blocking pair; RSD, RM and
+    # TTC Pareto optimal; RM's rank sum scipy's optimum and its max within
+    # the range over optima; and every row of the golden recomputed
+    pytest.importorskip("networkx")  # checks.py's Pareto test
+    checks, inputs, spans = (oracles.benchmark_module(name) for name in ("checks", "inputs", "spans"))
+    argv = CASES[golden]
+    monkeypatch.chdir(DATA.parent.parent)
+    patcher, capture = spans.Patcher(), spans.Capture()
+    capture.install(patcher)
+    try:
+        assert main(argv) == 0
+    finally:
+        patcher.restore()
+    text = (DATA / golden).read_text(encoding="utf-8")
+    assert capsys.readouterr().out == text
+    rows, problems = checks.parse_csv(text)
+    assert problems == []
+
+    labels = _arg(argv, "--mechanisms").split(",")
+    reps, seed = int(_arg(argv, "--reps")), int(_arg(argv, "--seed"))
+    calls = capture.take()
+    assert [label for label, _ in calls] == labels * reps
+    if CHECKED[golden]:
+        tables = [checks.Tables(oracles.read_market_file(DATA / CHECKED[golden]))] * reps
+    else:
+        tables = [checks.Tables(inputs.uniform_market(
+            int(_arg(argv, "--n")), inputs.derive_seed(seed, r, checks.MARKET_TAG)))
+            for r in range(reps)]
+    ranges = {t: _max_range(t.market) for t in set(tables)}
+    cutoffs = checks._cutoffs(rows, labels[0])
+    stats = {label: [] for label in labels}
+    for i, (label, a) in enumerate(calls):
+        r = i // len(labels)
+        t = tables[r]
+        found = checks.feasibility_problems(t, a)
+        if label == "DA" and checks.envious_students(t, a).size:
+            found.append("a blocking pair")
+        if label in ("RSD", "RM") or label == "TTC" and golden not in TTC_PARETO_UNCHECKED:
+            found += checks.pareto_problems(t, a)
+        if label == "RM":
+            eff = t.effective(a)
+            if eff.sum() != t.optimum:
+                found.append(f"rank sum {eff.sum()}, scipy optimum {t.optimum}")
+            least, greatest = ranges[t]
+            if not least <= eff.max() <= greatest:
+                found.append(f"max {eff.max()} outside the range over optima [{least}, {greatest}]")
+        assert found == [], f"rep {r} {label}"
+        stats[label].append(checks.rep_stats(t, a, cutoffs))
+    want = [row for label in labels
+            for row in checks.expected_rows(label, tables[0].market.n, stats[label], cutoffs)]
+    assert checks.row_problems(rows, want) == []
 
 
 def test_mechanism_tour_demo_matches_golden(capsys):

@@ -1,25 +1,28 @@
 """The solver and RM against their earlier forms, kept in ``oracles``.
 
 The 64-row-block class table and the NaN-masked layer loop, which
-solves over a table's columns and their copies and traces predecessors
-back from each layer's stored distances, must give the same matching
-as the two-step seat matrix build and the ``done``-mask loop with its
-``pred_row`` array on every input, not only the same cost: RM's CSV
-depends on which optimum the solver picks among ties.
+solves over a table's columns and their capacities and traces
+predecessors back from each layer's stored distances, must give the
+same matching as the two-step seat matrix build and the ``done``-mask
+loop with its ``pred_row`` array on the matrix of copies, each column
+repeated per its capacity, on every input, not only the same cost:
+RM's CSV depends on which optimum the solver picks among ties.
 """
 
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from schoolmatch.assignment import min_cost_assignment
-from schoolmatch.market import Market
+from schoolmatch.market import UNASSIGNED, Market, load_market
 from schoolmatch.mechanisms import _shuffled_rank_costs, rank_minimizing
 from schoolmatch.simulate import generate_uniform_market
 
 from oracles import (
     correlated_lists,
+    lists_of,
     matched_total,
     random_market_lists,
     reference_min_cost_assignment,
@@ -29,18 +32,20 @@ from oracles import (
 from test_solver_vs_scipy import partial_market
 
 
-def check_same_result(cost, columns=None):
+def check_same_result(cost, capacities=None):
     """Equal matchings, each a 1-D ``np.intp`` array, or the same refusal,
-    from the solver on ``cost`` and ``columns`` and the reference on
-    ``cost[:, columns]``; True when that matrix has a finite-cost matching."""
+    from the solver on ``cost`` and ``capacities`` and the reference on
+    ``np.repeat(cost, capacities, axis=1)``, each copy read back as its
+    column; True when that matrix has a finite-cost matching."""
+    copies = np.repeat(np.arange(cost.shape[1]), 1 if capacities is None else capacities)
     try:
-        expected = reference_min_cost_assignment(cost if columns is None else cost[:, columns])
+        expected = copies[reference_min_cost_assignment(cost[:, copies])]
     except ValueError as exc:  # InfeasibleAssignmentError included
         with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$") as refusal:
-            min_cost_assignment(cost, columns)
+            min_cost_assignment(cost, capacities)
         assert type(refusal.value) is type(exc)
         return False
-    result = min_cost_assignment(cost, columns)
+    result = min_cost_assignment(cost, capacities)
     assert result.dtype == expected.dtype == np.intp
     assert np.array_equal(result, expected)
     return True
@@ -107,8 +112,8 @@ def test_quarter_step_search_sizes():
 @pytest.mark.parametrize("step", [1.0, 0.25, 0.1, 0.0],
                          ids=["ranks", "quarters", "tenths", "continuous"])
 def test_class_tables(step):
-    # a few classes, each with many copies named in no particular order;
-    # rows with no finite class, or too few copies of theirs, are infeasible
+    # a few classes, each with many copies or none; rows with no finite
+    # class, or too few copies of theirs, are infeasible
     rng = np.random.default_rng(75)
     solved = 0
     for trial in range(240):
@@ -118,68 +123,87 @@ def test_class_tables(step):
         if step:
             table = np.round(table / step) * step
         table[rng.random((nr, n_classes)) < rng.uniform(0.0, 0.4)] = np.inf
-        columns = rng.integers(0, n_classes, size=nr + int(rng.integers(0, 9)))
-        solved += check_same_result(table, columns)
+        copies = rng.integers(0, n_classes, size=nr + int(rng.integers(0, 9)))
+        solved += check_same_result(table, np.bincount(copies, minlength=n_classes))
     assert 0 < solved < 240
 
 
 @pytest.mark.parametrize(
-    "table, columns",
+    "table, capacities",
     [
-        (np.array([[1.0, np.nan], [2.0, 0.0]]), [1, 1, 0]),
-        (np.array([[1.0, -1.0]]), [0, 1]),
-        (np.ones((3, 2)), [1, 0]),
-        (np.ones((2, 2)), np.array([], dtype=int)),
-        (np.array([[np.inf, 1.0], [np.inf, 1.0]]), [0, 1, 0]),  # one copy of class 1
+        (np.array([[1.0, np.nan], [2.0, 0.0]]), [1, 2]),
+        (np.array([[1.0, -1.0]]), [1, 1]),
+        (np.ones((3, 2)), [1, 1]),
+        (np.ones((2, 2)), [0, 0]),
+        (np.array([[np.inf, 1.0], [np.inf, 1.0]]), [2, 1]),  # one copy of class 1
     ],
     ids=["nan", "negative", "more-rows", "no-columns", "too-few-copies"],
 )
-def test_class_table_refusals(table, columns):
-    assert not check_same_result(table, columns)
+def test_class_table_refusals(table, capacities):
+    assert not check_same_result(table, capacities)
 
 
 def test_columns_left_out_are_ignored():
-    # a column of the table that no copy names is neither checked nor
-    # solved over: its NaN, negative entry and fraction change nothing
+    # a column of capacity 0 is neither checked nor solved over: its NaN,
+    # negative entry and fraction change nothing
     table = np.array([[1.0, np.nan, 2.0, 0.5], [3.0, -1.0, 1.0, 0.5]])
-    assert check_same_result(table, [2, 0, 0, 2])
-    cols = min_cost_assignment(table, [2, 0, 0, 2])
-    assert cols.tolist() == [1, 0] and matched_total(table[:, [2, 0, 0, 2]], cols) == 2
+    assert check_same_result(table, [2, 0, 2, 0])
+    cols = min_cost_assignment(table, [2, 0, 2, 0])
+    assert cols.tolist() == [0, 2] and matched_total(table, cols) == 2
 
 
 @pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.uint64])
 def test_columns_of_any_integer_type(dtype):
+    # the columns' capacities, in any integer type
     table = np.array([[1.0, 4.0, 2.0], [3.0, 1.0, 1.0]])
-    expected = min_cost_assignment(table, [2, 0, 0, 2, 1])
-    assert np.array_equal(min_cost_assignment(table, np.array([2, 0, 0, 2, 1], dtype=dtype)),
-                          expected)
+    expected = min_cost_assignment(table, [2, 1, 2])
+    assert np.array_equal(min_cost_assignment(table, np.array([2, 1, 2], dtype=dtype)), expected)
 
 
-@pytest.mark.parametrize("columns", [[0, 3], [-1, 0], [0.0, 1.0], [[0, 1]], [True, False]],
-                         ids=["past-the-end", "negative", "float", "2-D", "bool"])
-def test_columns_outside_the_table_refused(columns):
-    with pytest.raises(ValueError, match="^columns must be a list of column indices below 3$"):
-        min_cost_assignment(np.ones((2, 3)), columns)
+@pytest.mark.parametrize("capacities",
+                         [[1, 1, 1, 1], [1, 1], [1, -1, 1], [1.0, 1.0, 1.0], [[1, 1, 1]],
+                          [True, True, False]],
+                         ids=["past-the-end", "short", "negative", "float", "2-D", "bool"])
+def test_columns_outside_the_table_refused(capacities):
+    # capacities that are not one nonnegative integer per column
+    with pytest.raises(ValueError,
+                       match="^capacities must be one nonnegative integer for each of 3 columns$"):
+        min_cost_assignment(np.ones((2, 3)), capacities)
+
+
+def test_capacities_past_the_rows():
+    # no column can take more rows than there are, so a larger capacity
+    # solves as that many copies, and a huge one builds nothing per copy
+    rng = np.random.default_rng(92)
+    for _ in range(100):
+        nr, nc = int(rng.integers(1, 12)), int(rng.integers(1, 5))
+        table = np.round(rng.random((nr, nc)) * 8) / 4
+        capacities = rng.integers(0, 2 * nr, size=nc)
+        capacities[int(rng.integers(0, nc))] = nr
+        expected = min_cost_assignment(table, np.minimum(capacities, nr))
+        assert np.array_equal(min_cost_assignment(table, capacities + (capacities >= nr) * 10**12),
+                              expected)
 
 
 def assert_same_shuffled_costs(market, seed):
-    """RM's block-built table read through its seats' columns, the school
-    of each seat and the row permutation equal the full seat matrix's
-    ``np.ix_`` copy, entry for entry; the table has one column per seat
-    class, in the order the classes first appear among the seats."""
-    table, columns, seats, row_perm = _shuffled_rank_costs(market, seed)
-    expected, schools, expected_perm = reference_shuffled_cost_matrix(market, seed)
-    # full lists hold no inf, so the table keeps the ranks' int16; partial
-    # lists need inf, and float32 holds it and every int16 cost exactly
-    assert market.rank_table.dtype == np.int16
-    assert table.dtype == (np.int16 if market.has_full_lists else np.float32)
+    """RM's block-built table read through its classes' seat counts, the
+    school of each class and the row permutation equal the full seat
+    matrix's ``np.ix_`` copy, entry for entry; the table has one column
+    per seat class, in the order the classes first appear among the
+    seats, in the rank table's own type."""
+    table, capacities, schools, row_perm = _shuffled_rank_costs(market, seed)
+    expected, expected_schools, expected_perm = reference_shuffled_cost_matrix(market, seed)
+    m = market.n_schools
+    assert market.rank_table.dtype == table.dtype == np.int16
     assert table.flags.c_contiguous
     assert np.array_equal(row_perm, expected_perm)
-    assert np.array_equal(seats, schools)
-    assert np.array_equal(table[:, columns], expected)
-    # each new class is one past the highest column seen before it
-    assert np.array_equal(np.unique(np.maximum.accumulate(columns)), np.arange(table.shape[1]))
-    return table, columns
+    assert (capacities > 0).all() and len(set(schools.tolist())) == len(schools)
+    assert np.array_equal(np.repeat(schools, capacities), expected_schools)
+    # an unranked school keeps the rank table's sentinel m + 2 where the
+    # reference has inf; every other cost is a rank or k + 1 <= m + 1
+    seats = np.repeat(table, capacities, axis=1)
+    assert np.array_equal(np.where(seats > m + 1, np.inf, seats), expected)
+    return table, capacities
 
 
 @pytest.mark.parametrize(
@@ -201,9 +225,9 @@ def test_shuffled_rank_matrices(build):
 
 def test_unit_seat_table_is_the_seat_matrix():
     # unit capacities and full lists: each class is one seat, so the
-    # table is the seat matrix and its columns are read in order
-    table, columns = assert_same_shuffled_costs(generate_uniform_market(65, 78), 79)
-    assert table.shape == (65, 65) and np.array_equal(columns, np.arange(65))
+    # table is the seat matrix
+    table, capacities = assert_same_shuffled_costs(generate_uniform_market(65, 78), 79)
+    assert table.shape == (65, 65) and np.array_equal(capacities, np.ones(65))
 
 
 def test_shuffled_rank_matrices_whole_input_space():
@@ -219,19 +243,19 @@ def test_shuffled_rank_matrices_whole_input_space():
 
 
 def test_float32_table_solved_as_its_float64_copy():
-    # a float32 or int16 table is read in place and every read widened
+    # an int16 or float32 table is read in place and every read widened
     # to float64, so the solver picks the matching and refusal that the
-    # reference picks on the table's float64 copy: on RM's tables, and
-    # on tie-heavy fractions that float32 has rounded, where arithmetic
-    # rounded to float32 (a 64-row block subtracted in place) would
-    # break or make ties and pick other optima
+    # reference picks on the table's float64 copy: on RM's int16 tables,
+    # and on tie-heavy fractions that float32 has rounded, where
+    # arithmetic rounded to float32 (a 64-row block subtracted in place)
+    # would break or make ties and pick other optima
     rng = np.random.default_rng(80)
     for _ in range(200):
         caps, prefs, prios = random_market_lists(rng, max_students=40, max_schools=10)
         market = Market(capacities=caps, prefs=prefs, priorities=prios)
-        table, columns, _, _ = _shuffled_rank_costs(market, int(rng.integers(0, 2**32)))
-        assert table.dtype == (np.int16 if market.has_full_lists else np.float32)
-        check_same_result(table, columns)
+        table, capacities, _, _ = _shuffled_rank_costs(market, int(rng.integers(0, 2**32)))
+        assert table.dtype == np.int16
+        check_same_result(table, capacities)
     for _ in range(300):
         nr = int(rng.integers(1, 40))
         nc = nr + int(rng.integers(0, 10))
@@ -256,8 +280,9 @@ def test_real_table_solved_as_its_float64_copy(dtype):
         cost = rng.integers(0, high, size=(nr, nc)).astype(dtype)
         if signed and rng.random() < 0.1:
             cost[int(rng.integers(0, nr)), int(rng.integers(0, nc))] = -1
-        columns = None if rng.random() < 0.5 else rng.integers(0, nc, size=nr + 2)
-        solved += check_same_result(cost, columns)
+        copies = None if rng.random() < 0.5 else rng.integers(0, nc, size=nr + 2)
+        solved += check_same_result(
+            cost, None if copies is None else np.bincount(copies, minlength=nc))
     assert 100 < solved < 150
 
 
@@ -276,11 +301,10 @@ def test_int32_tables_on_full_lists_past_int16():
         assert rank_minimizing(market, seed) == reference_rank_minimizing(market, seed)
 
 
-def test_int32_rank_table_gets_a_float64_table():
+def test_int32_rank_table_gets_an_int32_table():
     # 32,770 schools put the unranked sentinel m + 2 past int16, so the
-    # rank table is int32; partial lists need inf, and an int32 table's
-    # ranks and k + 1 can pass 2**24, where float32 rounds, so RM's
-    # table is float64 there
+    # rank table is int32; on partial lists too RM's table keeps that
+    # type, the sentinel standing for an unranked school
     m = 32_770
     rng = np.random.default_rng(82)
     prefs = [rng.choice(m, size=3, replace=False).tolist() for _ in range(2)]
@@ -289,8 +313,37 @@ def test_int32_rank_table_gets_a_float64_table():
     assert market.rank_table.dtype == np.int32
     for seed in (83, 84, 85):
         table, _, _, _ = _shuffled_rank_costs(market, seed)
-        assert table.dtype == np.float64 and table.shape == (2, m + 1)
+        assert table.dtype == np.int32 and table.shape == (2, m + 1)
         assert rank_minimizing(market, seed) == reference_rank_minimizing(market, seed)
+
+
+DATA = Path(__file__).parent / "data"
+
+
+def test_stay_class_on_every_partial_market():
+    # RM's table keeps the rank table's type, an unranked school at its
+    # sentinel m + 2 rather than inf, because a partial list or short
+    # supply brings a stay class of n seats, so that class has a free
+    # seat in every search and no search reaches the sentinel: RM then
+    # seats no student at a school they did not list
+    rng = np.random.default_rng(93)
+    markets = []
+    for _ in range(400):
+        caps, prefs, prios = random_market_lists(rng, max_students=30, max_schools=10)
+        markets.append(Market(capacities=caps, prefs=prefs, priorities=prios))
+    markets = [market for market in markets
+               if not market.has_full_lists or market.total_seats < market.n_students]
+    assert len(markets) > 300
+    markets += [load_market(DATA / f"{name}.txt") for name in (
+        "small_market", "short_supply_market", "many_seat_market", "surplus_market")]
+    for market in markets:
+        seed = int(rng.integers(0, 2**32))
+        table, capacities, schools, _ = _shuffled_rank_costs(market, seed)
+        assert table.dtype == market.rank_table.dtype
+        assert capacities[schools == UNASSIGNED].tolist() == [market.n_students]
+        prefs, _ = lists_of(market)
+        held = rank_minimizing(market, seed).assignment.tolist()
+        assert all(s == UNASSIGNED or s in prefs[t] for t, s in enumerate(held))
 
 
 def test_rank_minimizing_same_allocation():
@@ -341,15 +394,15 @@ def test_many_seat_rank_tables():
     # RM's class tables against the reference solver on the seat matrix
     for market in many_seat_markets(80, 6):
         for seed in (81, 82):
-            table, columns, _, _ = _shuffled_rank_costs(market, seed)
-            assert np.bincount(columns).min() >= 25
-            assert check_same_result(table, columns)
+            table, capacities, _, _ = _shuffled_rank_costs(market, seed)
+            assert capacities.min() >= 25
+            assert check_same_result(table, capacities)
 
 
 @pytest.mark.parametrize("step", [0.25, 0.0], ids=["quarters", "continuous"])
 def test_many_seat_utility_tables(step):
     # costs 1 - utility on each listed school and 1 for "stay unassigned",
-    # the copies of every class named in a shuffled order
+    # 25-100 seats a school and n for "stay unassigned"
     rng = np.random.default_rng(83)
     for _ in range(4):
         n, m = int(rng.integers(200, 401)), int(rng.integers(3, 9))
@@ -358,8 +411,7 @@ def test_many_seat_utility_tables(step):
         if step:
             table = np.round(table / step) * step
         table[:, :m][rng.random((n, m)) < 0.5] = np.inf
-        copies = np.repeat(np.arange(m + 1), [*rng.integers(25, 101, size=m), n])
-        assert check_same_result(table, rng.permutation(copies))
+        assert check_same_result(table, np.array([*rng.integers(25, 101, size=m), n]))
 
 
 def test_rank_minimizing_many_seat_correlated():

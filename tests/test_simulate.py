@@ -408,9 +408,9 @@ class TestRunExperiment:
         # n^2 * 8 bytes; the solve holds only 64-row blocks and arrays
         # over the classes (about 0.35 n^2 * 8)
         n = 400
-        table, columns, _, _ = _shuffled_rank_costs(generate_uniform_market(n, 81), 1)
+        table, capacities, _, _ = _shuffled_rank_costs(generate_uniform_market(n, 81), 1)
         assert table.dtype == np.int16 and table.shape == (n, n)
-        assert peak_of(min_cost_assignment, table, columns) < n * n * 8
+        assert peak_of(min_cost_assignment, table, capacities) < n * n * 8
 
     def test_rm_holds_one_column_per_seat_class(self):
         # on a partial-list market of 4-seat schools RM's table holds one
@@ -434,14 +434,14 @@ class TestRunExperiment:
     def test_rm_solve_is_as_wide_as_the_seat_classes(self):
         # the same market: the solve holds a few arrays over the 2,000
         # seats (16 KB each) and 64-row blocks over the 11 classes (6 KB),
-        # about 1.7 times the 88 KB the table takes in float64 (on these
-        # partial lists it is float32, and read in place).  A solver with
+        # about 1.7 times the 88 KB the table would take in float64 (it
+        # is int16, the rank table's type, and read in place).  A solver with
         # a slot per matched seat reduces 64-row blocks over up to
         # n + m + 1 slots (518 KB) and peaks at about 8.6 times that 88 KB
         n, m = 1000, 10
-        table, columns, _, _ = _shuffled_rank_costs(partial_market(n, m, 100, 8, 5), 1)
+        table, capacities, _, _ = _shuffled_rank_costs(partial_market(n, m, 100, 8, 5), 1)
         assert table.shape == (n, m + 1)
-        assert peak_of(min_cost_assignment, table, columns) < 3 * n * (m + 1) * 8
+        assert peak_of(min_cost_assignment, table, capacities) < 3 * n * (m + 1) * 8
 
 
 class TestPartialListPipeline:
